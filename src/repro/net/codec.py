@@ -18,6 +18,18 @@ identical** to the framing every earlier PR produced — a peer that
 pre-dates codecs interoperates as long as nobody compresses toward it,
 which is exactly what negotiation guarantees.
 
+A frame that clears the threshold is not compressed blindly: a
+**compressibility probe** first compresses a :data:`PROBE_SAMPLE_BYTES`
+sample drawn in equal parts from the frame's head, middle and tail (read
+across the envelope's segments without joining them).  Unless the sample
+shrinks by at least :data:`PROBE_MIN_SAVING`, the frame goes out raw
+(codec id 0, so the receiver sees nothing new) and neither the
+full-frame compressor nor the join of the segments ever runs.  Random or
+already-compressed state — a migrated object's pickled ``bytes``, say —
+costs one small compression instead of one per chunk.  The probe's limit:
+a frame whose sampled regions are random but whose unsampled bulk would
+compress goes raw.  That costs ratio, never correctness.
+
 ``zlib`` (stdlib, always available) is the default codec; ``lz4`` is
 registered only when the optional ``lz4.frame`` module is importable —
 the container image is not required to carry it, and the negotiation
@@ -27,6 +39,7 @@ machinery treats its absence exactly like a peer that refuses it.
 from __future__ import annotations
 
 import zlib
+from typing import Sequence
 
 from repro.errors import MarshalError
 
@@ -49,6 +62,15 @@ DEFAULT_COMPRESS_THRESHOLD = 16 * 1024
 #: fraction of level 6 for most of the ratio — this is a latency codec,
 #: not an archival one.
 _ZLIB_LEVEL = 1
+
+#: Bytes the compressibility probe compresses before a whole frame is:
+#: a third each from the frame's head, middle and tail.  Frames no larger
+#: than this skip the probe and are compressed outright.
+PROBE_SAMPLE_BYTES = 3 * 1024
+
+#: The least fraction of the sample the probe must save; below it the
+#: frame is judged incompressible and goes out raw.
+PROBE_MIN_SAVING = 0.10
 
 _NAME_TO_ID = {"raw": RAW, "zlib": ZLIB, "lz4": LZ4}
 _ID_TO_NAME = {v: k for k, v in _NAME_TO_ID.items()}
@@ -103,7 +125,7 @@ def choose_codec(nbytes: int, write_codecs: tuple[str, ...],
     return RAW
 
 
-def encode(ident: int, blob: bytes) -> bytes:
+def encode(ident: int, blob: bytes | memoryview) -> bytes:
     """Compress ``blob`` with the codec ``ident`` (``RAW`` passes through)."""
     if ident == RAW:
         return blob
@@ -114,6 +136,45 @@ def encode(ident: int, blob: bytes) -> bytes:
             raise MarshalError("lz4 codec requested but lz4.frame is unavailable")
         return _lz4frame.compress(blob)
     raise MarshalError(f"unknown codec id {ident}")
+
+
+def _probe_sample(parts: Sequence[bytes | memoryview], nbytes: int) -> bytes:
+    """:data:`PROBE_SAMPLE_BYTES` of the frame's head, middle and tail.
+
+    ``parts`` are the frame's segments in order and ``nbytes`` their total
+    length (which must exceed the sample).  Only the sampled slices are
+    copied; the segments themselves are never joined.
+    """
+    span = PROBE_SAMPLE_BYTES // 3
+    windows = [(start, start + span)
+               for start in (0, (nbytes - span) // 2, nbytes - span)]
+    pieces = []
+    offset = 0
+    for part in parts:
+        end = offset + len(part)
+        for lo, hi in windows:
+            if lo < end and hi > offset:
+                pieces.append(part[max(lo - offset, 0):min(hi, end) - offset])
+        offset = end
+    return b"".join(pieces)
+
+
+def compress_frame(ident: int, parts: Sequence[bytes | memoryview],
+                   nbytes: int) -> bytes | None:
+    """The frame ``parts`` compressed with codec ``ident``, or ``None``.
+
+    ``None`` means "send it raw": either the probe judged the frame
+    incompressible (see the module docstring) or the compressed body came
+    out no smaller than the ``nbytes`` it replaces.  The segments are
+    joined only once the probe has said to compress.
+    """
+    if nbytes > PROBE_SAMPLE_BYTES:
+        sample = _probe_sample(parts, nbytes)
+        if len(encode(ident, sample)) > len(sample) * (1.0 - PROBE_MIN_SAVING):
+            return None
+    blob = parts[0] if len(parts) == 1 else b"".join(parts)
+    body = encode(ident, blob)
+    return body if len(body) < nbytes else None
 
 
 def decode(ident: int, blob: bytes, max_size: int) -> bytes:

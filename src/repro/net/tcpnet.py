@@ -296,9 +296,10 @@ def _encode_frame(message: Message, codec_for=None, flat: bool = False,
     """One wire-ready frame, compressing when negotiated.
 
     ``codec_for`` maps the serialized size to a codec id (``None`` keeps
-    every frame raw).  A frame the codec fails to shrink is sent raw —
-    the header is self-describing, so the receiver never needs to know
-    what the sender attempted.
+    every frame raw).  A frame that :func:`codec.compress_frame`'s
+    sampled probe judges incompressible, or that the codec fails to
+    shrink, is sent raw — the header is self-describing, so the receiver
+    never needs to know what the sender attempted.
 
     Three envelope encodings, fastest first:
 
@@ -329,9 +330,8 @@ def _encode_frame(message: Message, codec_for=None, flat: bool = False,
                 raise MarshalError(f"message too large: {nbytes} bytes")
             ident = codec.RAW if codec_for is None else codec_for(nbytes)
             if ident != codec.RAW:
-                joined = b"".join(parts)
-                body = codec.encode(ident, joined)
-                if len(body) < nbytes:  # compression beats zero-copy
+                body = codec.compress_frame(ident, parts, nbytes)
+                if body is not None:  # compression beats zero-copy
                     return _LENGTH_PREFIX.pack(
                         len(body) | (ident << _CODEC_SHIFT)) + body
             head = _LENGTH_PREFIX.pack(nbytes)
@@ -351,9 +351,11 @@ def _encode_frame(message: Message, codec_for=None, flat: bool = False,
     ident = codec.RAW if codec_for is None else codec_for(len(blob))
     body = blob
     if ident != codec.RAW:
-        body = codec.encode(ident, blob)
-        if len(body) >= len(blob):  # incompressible payload: keep raw
-            ident, body = codec.RAW, blob
+        compressed = codec.compress_frame(ident, (blob,), len(blob))
+        if compressed is None:  # incompressible payload: keep raw
+            ident = codec.RAW
+        else:
+            body = compressed
     return _LENGTH_PREFIX.pack(len(body) | (ident << _CODEC_SHIFT)) + body
 
 

@@ -4,6 +4,19 @@ The trace is the reproduction's instrument for the paper's protocol figures
 (Figures 1, 2, 3, 7): every message a transport delivers is recorded with a
 global sequence number and the virtual timestamp at which it was sent.
 Benches then assert on, and pretty-print, the causal message sequences.
+
+Two recording paths share one sequence, so ``len(trace)`` and the index of
+every :meth:`MessageTrace.events` entry agree whichever path recorded it:
+
+* **Compact** — the caller passes the frame's measured size (the TCP data
+  plane's receive and reply paths, and the in-process bypass).  Only the
+  event's own fields are kept; the :class:`Message` and its payload are
+  never retained, so a long TCP run's trace costs a few small tuples per
+  frame, not every frame's bytes.
+* **Full** — no size is passed (:class:`~repro.net.simnet.SimNetwork`).
+  The message is kept until the first read, when :func:`payload_nbytes`
+  sizes it; that is the figure-stable accounting the figure traces are
+  pinned to.
 """
 
 from __future__ import annotations
@@ -41,11 +54,16 @@ class MessageTrace:
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        #: Recorded-but-not-yet-materialized entries: (seq, time_ms,
-        #: message, dropped, nbytes).  The hot path only appends this
+        #: Recorded-but-not-yet-materialized entries: (seq, time_ms, kind,
+        #: in_reply_to, src, dst, msg_id, local, dropped, size), where
+        #: ``size`` is the measured byte count or, on the full path, the
+        #: message to size at first read.  The hot path only builds this
         #: tuple; the kind string and payload sizing (a pickle!) are
         #: deferred to the first read, off the transport's critical path.
-        self._pending: list[tuple[int, float, Message, bool, int | None]] = []
+        self._pending: list[tuple[
+            int, float, MessageKind, MessageKind | None, str, str, str,
+            bool, bool, int | Message,
+        ]] = []
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -54,31 +72,37 @@ class MessageTrace:
         """Append an event for ``message`` (lazily materialized).
 
         ``nbytes`` lets a transport that already knows the frame's
-        *measured* on-wire size (the TCP data plane) thread it through
-        instead of paying a second serialization at materialize time;
-        ``None`` keeps the :func:`payload_nbytes` estimate (the
-        simulated network's figure-stable accounting).
+        *measured* on-wire size (the TCP data plane, the bypass) thread it
+        through; the trace then keeps only the event's fields and drops
+        its reference to ``message``.  ``None`` keeps the message for the
+        :func:`payload_nbytes` estimate at first read (the simulated
+        network's figure-stable accounting).
         """
+        size = message if nbytes is None else nbytes
         with self._lock:
             self._seq += 1
-            self._pending.append((self._seq, time_ms, message, dropped, nbytes))
+            self._pending.append((
+                self._seq, time_ms, message.kind, message.in_reply_to,
+                message.src, message.dst, message.msg_id, message.is_local,
+                dropped, size,
+            ))
 
     def _materialize_locked(self) -> None:
-        for seq, time_ms, message, dropped, nbytes in self._pending:
-            kind = message.kind.value
-            if (message.kind is MessageKind.REPLY
-                    and message.in_reply_to is not None):
-                kind = f"REPLY({message.in_reply_to.value})"
+        for (seq, time_ms, kind, in_reply_to, src, dst, msg_id, local,
+                dropped, size) in self._pending:
+            label = kind.value
+            if kind is MessageKind.REPLY and in_reply_to is not None:
+                label = f"REPLY({in_reply_to.value})"
             self._events.append(TraceEvent(
                 seq=seq,
                 time_ms=time_ms,
-                kind=kind,
-                src=message.src,
-                dst=message.dst,
-                msg_id=message.msg_id,
-                local=message.is_local,
+                kind=label,
+                src=src,
+                dst=dst,
+                msg_id=msg_id,
+                local=local,
                 dropped=dropped,
-                nbytes=nbytes if nbytes is not None else payload_nbytes(message),
+                nbytes=size if isinstance(size, int) else payload_nbytes(size),
             ))
         self._pending.clear()
 

@@ -32,9 +32,9 @@ so N futures to N nodes overlap their round trips.
 Reliability: §4.3 requires protocols to "recover from message loss", so
 ``call`` retries lost transmissions up to a budget.  Because a reply can be
 lost *after* the handler ran, every node's dispatch path is wrapped in a
-:class:`ReplyCache` keyed by message id, giving at-most-once execution —
-retries of an executed request replay the cached reply instead of
-re-executing a (possibly non-idempotent) move.
+:class:`ReplyCache` keyed by (source node, message id), giving
+at-most-once execution — retries of an executed request replay the
+cached reply instead of re-executing a (possibly non-idempotent) move.
 
 The at-most-once path is *single-flight*: while a request is executing,
 a concurrently arriving retransmission of the same message id blocks on
@@ -61,7 +61,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.errors import (
     CallCancelledError,
@@ -410,34 +410,34 @@ class _ReplyCacheShard:
 
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
-        self._entries: OrderedDict[str, ReplyPayload] = OrderedDict()
-        # msg_id -> waiter event, created lazily: ``None`` marks a flight
+        self._entries: OrderedDict[Hashable, ReplyPayload] = OrderedDict()
+        # key -> waiter event, created lazily: ``None`` marks a flight
         # nobody is waiting on yet (the common case — the Event alloc is
         # hot-path overhead only a racing retransmission needs).
-        self._inflight: dict[str, threading.Event | None] = {}
+        self._inflight: dict[Hashable, threading.Event | None] = {}
         self._lock = threading.Lock()
 
-    def get(self, msg_id: str) -> ReplyPayload | None:
-        """The cached reply for ``msg_id``, refreshing its recency."""
+    def get(self, key: Hashable) -> ReplyPayload | None:
+        """The cached reply for ``key``, refreshing its recency."""
         with self._lock:
-            payload = self._entries.get(msg_id)
+            payload = self._entries.get(key)
             if payload is not None:
-                self._entries.move_to_end(msg_id)
+                self._entries.move_to_end(key)
             return payload
 
-    def put(self, msg_id: str, payload: ReplyPayload) -> None:
-        """Remember ``payload`` as the reply for ``msg_id``."""
+    def put(self, key: Hashable, payload: ReplyPayload) -> None:
+        """Remember ``payload`` as the reply for ``key``."""
         with self._lock:
-            self._put_locked(msg_id, payload)
+            self._put_locked(key, payload)
 
-    def _put_locked(self, msg_id: str, payload: ReplyPayload) -> None:
-        self._entries[msg_id] = payload
-        self._entries.move_to_end(msg_id)
+    def _put_locked(self, key: Hashable, payload: ReplyPayload) -> None:
+        self._entries[key] = payload
+        self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
-    def begin(self, msg_id: str) -> ReplyPayload | threading.Event | None:
-        """Single-flight entry point for executing ``msg_id``.
+    def begin(self, key: Hashable) -> ReplyPayload | threading.Event | None:
+        """Single-flight entry point for executing ``key``.
 
         Returns the cached :class:`ReplyPayload` when the request already
         executed, a :class:`threading.Event` to wait on when another thread
@@ -445,19 +445,19 @@ class _ReplyCacheShard:
         execution and must eventually call :meth:`finish`.
         """
         with self._lock:
-            payload = self._entries.get(msg_id)
+            payload = self._entries.get(key)
             if payload is not None:
-                self._entries.move_to_end(msg_id)
+                self._entries.move_to_end(key)
                 return payload
-            if msg_id in self._inflight:
-                event = self._inflight[msg_id]
+            if key in self._inflight:
+                event = self._inflight[key]
                 if event is None:
-                    event = self._inflight[msg_id] = threading.Event()
+                    event = self._inflight[key] = threading.Event()
                 return event
-            self._inflight[msg_id] = None
+            self._inflight[key] = None
             return None
 
-    def finish(self, msg_id: str, payload: ReplyPayload | None) -> None:
+    def finish(self, key: Hashable, payload: ReplyPayload | None) -> None:
         """End the flight :meth:`begin` granted, waking any waiters.
 
         ``payload`` is cached as the reply; pass ``None`` to release the
@@ -466,8 +466,8 @@ class _ReplyCacheShard:
         """
         with self._lock:
             if payload is not None:
-                self._put_locked(msg_id, payload)
-            event = self._inflight.pop(msg_id, None)
+                self._put_locked(key, payload)
+            event = self._inflight.pop(key, None)
         if event is not None:
             event.set()  # only a racing retransmission materialized one
 
@@ -477,11 +477,14 @@ class _ReplyCacheShard:
 
 
 class ReplyCache:
-    """At-most-once execution: remembers replies by request message id.
+    """At-most-once execution: remembers replies by request key.
 
-    A bounded LRU; old entries are evicted once ``capacity`` is exceeded.
-    Retries reuse the same message id, so a retransmission of an
-    already-executed request returns the remembered reply.
+    :meth:`Transport.execute_handler` keys each request on its
+    ``(src, msg_id)`` pair: message ids are unique per sending process,
+    not cluster-wide.  A bounded LRU; old entries are evicted once
+    ``capacity`` is exceeded.  Retries reuse the same message id, so a
+    retransmission of an already-executed request returns the remembered
+    reply.
 
     The cache also tracks *in-flight* executions (:meth:`begin` /
     :meth:`finish`), giving dispatchers single-flight semantics: a
@@ -490,12 +493,12 @@ class ReplyCache:
     In-flight slots are unbounded by ``capacity`` (they are bounded by the
     dispatcher's own concurrency) and are always released by ``finish``.
 
-    ``shards`` stripes the cache by message-id hash so concurrent
+    ``shards`` stripes the cache by key hash so concurrent
     dispatch workers stop serializing on one mutex.  The default single
     shard preserves exact global LRU order (eviction happens per shard,
     so a sharded cache approximates LRU — ample for a retransmission
-    window, which only needs *recent* ids, not a total order).  Message
-    ids never repeat across shards, so single-flight semantics are
+    window, which only needs *recent* ids, not a total order).  A key
+    always maps to the same shard, so single-flight semantics are
     unaffected by striping.
     """
 
@@ -509,24 +512,24 @@ class ReplyCache:
             _ReplyCacheShard(per_shard) for _ in range(shards)
         )
 
-    def _shard(self, msg_id: str) -> _ReplyCacheShard:
-        return self._shards[hash(msg_id) % len(self._shards)]
+    def _shard(self, key: Hashable) -> _ReplyCacheShard:
+        return self._shards[hash(key) % len(self._shards)]
 
-    def get(self, msg_id: str) -> ReplyPayload | None:
-        """The cached reply for ``msg_id``, refreshing its recency."""
-        return self._shard(msg_id).get(msg_id)
+    def get(self, key: Hashable) -> ReplyPayload | None:
+        """The cached reply for ``key``, refreshing its recency."""
+        return self._shard(key).get(key)
 
-    def put(self, msg_id: str, payload: ReplyPayload) -> None:
-        """Remember ``payload`` as the reply for ``msg_id``."""
-        self._shard(msg_id).put(msg_id, payload)
+    def put(self, key: Hashable, payload: ReplyPayload) -> None:
+        """Remember ``payload`` as the reply for ``key``."""
+        self._shard(key).put(key, payload)
 
-    def begin(self, msg_id: str) -> ReplyPayload | threading.Event | None:
+    def begin(self, key: Hashable) -> ReplyPayload | threading.Event | None:
         """Single-flight entry point; see :meth:`_ReplyCacheShard.begin`."""
-        return self._shard(msg_id).begin(msg_id)
+        return self._shard(key).begin(key)
 
-    def finish(self, msg_id: str, payload: ReplyPayload | None) -> None:
+    def finish(self, key: Hashable, payload: ReplyPayload | None) -> None:
         """End the flight :meth:`begin` granted, waking any waiters."""
-        self._shard(msg_id).finish(msg_id, payload)
+        self._shard(key).finish(key, payload)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -1065,8 +1068,11 @@ class Transport(ABC):
         (:func:`repro.net.deadline.deadline_scope`), so nested calls the
         handler issues inherit the caller's shrinking budget.
         """
+        # Message ids are unique per sender process only (every process
+        # counts from 1), so the cache keys on who sent the request too.
+        key = (message.src, message.msg_id)
         while True:
-            token = cache.begin(message.msg_id)
+            token = cache.begin(key)
             if isinstance(token, ReplyPayload):
                 return token
             if token is not None:  # another thread owns the flight
@@ -1128,5 +1134,5 @@ class Transport(ABC):
             except Exception as exc:  # marshalled back to the caller
                 payload = ReplyPayload(error=exc)
             finally:
-                cache.finish(message.msg_id, payload)
+                cache.finish(key, payload)
             return payload

@@ -38,11 +38,6 @@ from repro.rmi.protocol import (
     LockRequestPayload,
     LookupRequest,
     MoveRequest,
-    ObjectTransfer,
-    TransferAbort,
-    TransferChunk,
-    TransferCommit,
-    TransferPrepare,
     UnbindRequest,
     UnlockPayload,
 )
@@ -95,11 +90,6 @@ class MageExternalServer:
             MessageKind.REGISTRY_LIST: self._on_list,
             MessageKind.FIND: self._on_find,
             MessageKind.MOVE_REQUEST: self._on_move_request,
-            MessageKind.OBJECT_TRANSFER: self._on_object_transfer,
-            MessageKind.TRANSFER_PREPARE: self._on_transfer_prepare,
-            MessageKind.TRANSFER_CHUNK: self._on_transfer_chunk,
-            MessageKind.TRANSFER_COMMIT: self._on_transfer_commit,
-            MessageKind.TRANSFER_ABORT: self._on_transfer_abort,
             MessageKind.CLASS_REQUEST: self._on_class_request,
             MessageKind.CLASS_TRANSFER: self._on_class_push,
             MessageKind.INSTANTIATE: self._on_instantiate,
@@ -112,6 +102,15 @@ class MageExternalServer:
             MessageKind.PING: self._on_ping,
             MessageKind.JOIN: self._on_join,
             MessageKind.ANNOUNCE: self._on_announce,
+        }
+        #: Migration frames also take the sending node: transfer ids are
+        #: unique per sender only, so the mover keys on both.
+        self._transfer_handlers = {
+            MessageKind.OBJECT_TRANSFER: self._mover.receive,
+            MessageKind.TRANSFER_PREPARE: self._mover.prepare,
+            MessageKind.TRANSFER_CHUNK: self._mover.receive_chunk,
+            MessageKind.TRANSFER_COMMIT: self._mover.commit,
+            MessageKind.TRANSFER_ABORT: self._mover.abort,
         }
 
     @property
@@ -141,11 +140,14 @@ class MageExternalServer:
         reactor loop thread (magelint MAGE009 checks them).
         """
         handler = self._handlers.get(message.kind)
-        if handler is None:
+        if handler is not None:
+            return handler(message.payload)
+        transfer = self._transfer_handlers.get(message.kind)
+        if transfer is None:
             raise MageError(
                 f"node {self.node_id!r} cannot handle {message.kind.value} messages"
             )
-        return handler(message.payload)
+        return transfer(message.payload, message.src)
 
     def _lookup_servant(self, name: str) -> Any:
         if not self._store.contains(name):
@@ -182,21 +184,6 @@ class MageExternalServer:
             request.name, request.target, lock_token=request.lock_token,
             alternates=request.alternates,
         )
-
-    def _on_object_transfer(self, transfer: ObjectTransfer) -> str:
-        return self._mover.receive(transfer)
-
-    def _on_transfer_prepare(self, prepare: TransferPrepare) -> str:
-        return self._mover.prepare(prepare)
-
-    def _on_transfer_chunk(self, chunk: TransferChunk) -> str:
-        return self._mover.receive_chunk(chunk)
-
-    def _on_transfer_commit(self, commit: TransferCommit) -> str:
-        return self._mover.commit(commit)
-
-    def _on_transfer_abort(self, abort: TransferAbort) -> str:
-        return self._mover.abort(abort)
 
     def _on_class_request(self, request: ClassRequest) -> Any:
         desc = self._classcache.descriptor(request.class_name)

@@ -134,74 +134,80 @@ _TRANSFER_SHARDS = 8
 _TOMBSTONE_CAP = 4096 // _TRANSFER_SHARDS
 
 
+#: Receiver-side identity of one transfer: ``(sender, transfer_id)``.
+_XferKey = tuple[str, str]
+
+
 class _TransferShard:
     """One stripe of the mover's per-transfer state: own lock, own dicts.
 
-    A transfer id lives wholly in one shard, so every cross-check the
-    protocol depends on — PREPARE against the abort tombstones, COMMIT
-    against the staging slot, ABORT against an in-flight apply — still
-    happens under a single lock; just not the same lock as every *other*
-    transfer's.
+    State keys on ``(sender, transfer_id)``: transfer ids are drawn from
+    a per-process counter, so two origins can use the same one.  A key
+    lives wholly in one shard, so every cross-check the protocol depends
+    on — PREPARE against the abort tombstones, COMMIT against the staging
+    slot, ABORT against an in-flight apply — still happens under a single
+    lock; just not the same lock as every *other* transfer's.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._staging: dict[str, _StagedTransfer] = {}
-        self._applying: dict[str, threading.Event] = {}
-        self._seen: set[str] = set()
-        self._seen_order: deque[str] = deque()
-        self._aborted: set[str] = set()
-        self._aborted_order: deque[str] = deque()
+        self._staging: dict[_XferKey, _StagedTransfer] = {}
+        self._applying: dict[_XferKey, threading.Event] = {}
+        self._seen: set[_XferKey] = set()
+        self._seen_order: deque[_XferKey] = deque()
+        self._aborted: set[_XferKey] = set()
+        self._aborted_order: deque[_XferKey] = deque()
 
-    def begin_apply(self, transfer_id: str) -> None:
-        """Reserve ``transfer_id`` for this thread's apply (single-flight)."""
+    def begin_apply(self, key: _XferKey) -> None:
+        """Reserve ``key`` for this thread's apply (single-flight)."""
         while True:
             with self._lock:
-                if transfer_id in self._seen:
+                if key in self._seen:
                     raise _AlreadyApplied()
-                event = self._applying.get(transfer_id)
+                event = self._applying.get(key)
                 if event is None:
-                    self._applying[transfer_id] = threading.Event()
+                    self._applying[key] = threading.Event()
                     return
             event.wait()
             # The holder finished: either it applied (seen → "ok") or it
             # failed and released the reservation (this thread then
             # claims the flight and executes afresh).
 
-    def end_apply(self, transfer_id: str) -> None:
+    def end_apply(self, key: _XferKey) -> None:
         with self._lock:
-            event = self._applying.pop(transfer_id, None)
+            event = self._applying.pop(key, None)
         if event is not None:
             event.set()
 
-    def record_applied(self, transfer_id: str) -> None:
+    def record_applied(self, key: _XferKey) -> None:
         with self._lock:
-            self._seen.add(transfer_id)
-            self._seen_order.append(transfer_id)
+            self._seen.add(key)
+            self._seen_order.append(key)
             while len(self._seen_order) > _TOMBSTONE_CAP:
                 self._seen.discard(self._seen_order.popleft())
 
-    def stage(self, prep: TransferPrepare, node_id: str) -> None:
+    def stage(self, key: _XferKey, prep: TransferPrepare,
+              node_id: str) -> None:
         with self._lock:
-            if prep.transfer_id in self._seen:
+            if key in self._seen:
                 return  # already committed; a late PREPARE retransmission
-            if prep.transfer_id in self._aborted:
+            if key in self._aborted:
                 raise MigrationError(
                     f"transfer {prep.transfer_id!r} was aborted at "
                     f"{node_id!r}; its frames are dead"
                 )
-            if prep.transfer_id not in self._staging:
-                self._staging[prep.transfer_id] = _StagedTransfer(
+            if key not in self._staging:
+                self._staging[key] = _StagedTransfer(
                     prepare=prep,
                     expires_at=time.monotonic() + prep.ttl_ms / 1000.0,
                 )
 
-    def add_chunk(self, chunk: TransferChunk, data: bytes,
+    def add_chunk(self, key: _XferKey, chunk: TransferChunk, data: bytes,
                   node_id: str) -> None:
         with self._lock:
-            if chunk.transfer_id in self._seen:
+            if key in self._seen:
                 return  # committed already; late retransmission
-            entry = self._staging.get(chunk.transfer_id)
+            entry = self._staging.get(key)
             if entry is None:
                 raise MigrationError(
                     f"no staged transfer {chunk.transfer_id!r} at "
@@ -211,11 +217,11 @@ class _TransferShard:
                 entry.chunks[chunk.index] = data
                 entry.received_bytes += len(data)
 
-    def claim_commit(self, commit: TransferCommit,
+    def claim_commit(self, key: _XferKey, commit: TransferCommit,
                      node_id: str) -> _StagedTransfer:
         """Verify completeness and take ownership of the staging entry."""
         with self._lock:
-            entry = self._staging.get(commit.transfer_id)
+            entry = self._staging.get(key)
             if entry is None:
                 raise MigrationError(
                     f"cannot commit unknown transfer {commit.transfer_id!r} "
@@ -231,23 +237,23 @@ class _TransferShard:
                 )
             # Claimed: from here the caller owns the apply; drop the
             # staging entry so an abort retransmission cannot race it.
-            del self._staging[commit.transfer_id]
+            del self._staging[key]
         return entry
 
-    def abort(self, ab: TransferAbort, node_id: str) -> None:
+    def abort(self, key: _XferKey, ab: TransferAbort, node_id: str) -> None:
         while True:
             with self._lock:
-                if ab.transfer_id in self._seen:
+                if key in self._seen:
                     raise MigrationError(
                         f"transfer {ab.transfer_id!r} already committed at "
                         f"{node_id!r}; cannot abort a materialized object"
                     )
-                event = self._applying.get(ab.transfer_id)
+                event = self._applying.get(key)
                 if event is None:
-                    self._staging.pop(ab.transfer_id, None)
-                    if ab.transfer_id not in self._aborted:
-                        self._aborted.add(ab.transfer_id)
-                        self._aborted_order.append(ab.transfer_id)
+                    self._staging.pop(key, None)
+                    if key not in self._aborted:
+                        self._aborted.add(key)
+                        self._aborted_order.append(key)
                         while len(self._aborted_order) > _TOMBSTONE_CAP:
                             self._aborted.discard(
                                 self._aborted_order.popleft()
@@ -750,39 +756,41 @@ class Mover:
 
     # -- receiving side --------------------------------------------------------------
 
-    def receive(self, transfer: ObjectTransfer) -> str:
+    def receive(self, transfer: ObjectTransfer, sender: str = "") -> str:
         """Handle an incoming single-frame OBJECT_TRANSFER; returns ``"ok"``.
 
-        Idempotent per ``transfer_id`` so a retransmitted transfer (lost
-        ack) cannot materialize two copies.  The id is **reserved on
-        entry** (and the reservation released on failure): two concurrent
-        retransmissions of one transfer converge on a single apply — the
-        loser waits for the winner's outcome instead of racing it through
-        the unpack/store window, which used to allow a double-apply.
+        Idempotent per ``(sender, transfer_id)`` so a retransmitted
+        transfer (lost ack) cannot materialize two copies, while another
+        origin's transfer that drew the same id stays distinct.  The id
+        is **reserved on entry** (and the reservation released on
+        failure): two concurrent retransmissions of one transfer converge
+        on a single apply — the loser waits for the winner's outcome
+        instead of racing it through the unpack/store window, which used
+        to allow a double-apply.
         """
-        shard = self._xfer_shard(transfer.transfer_id)
+        key = (sender, transfer.transfer_id)
+        shard = self._xfer_shard(key)
         try:
-            shard.begin_apply(transfer.transfer_id)
+            shard.begin_apply(key)
         except _AlreadyApplied:
             return "ok"
         try:
             cls = self._class_for(transfer)
             obj = self.unpack(cls, transfer.state_blob)
-            self._apply(transfer.name, obj, transfer.shared,
-                        transfer.transfer_id)
+            self._apply(transfer.name, obj, transfer.shared, key)
         finally:
-            shard.end_apply(transfer.transfer_id)
+            shard.end_apply(key)
         return "ok"
 
-    def _xfer_shard(self, transfer_id: str) -> _TransferShard:
-        return self._shards[hash(transfer_id) % _TRANSFER_SHARDS]
+    def _xfer_shard(self, key: _XferKey) -> _TransferShard:
+        return self._shards[hash(key) % _TRANSFER_SHARDS]
 
-    def _apply(self, name: str, obj: Any, shared: bool, transfer_id: str) -> None:
+    def _apply(self, name: str, obj: Any, shared: bool, key: _XferKey) -> None:
         """Materialize an arrived object; the single door into the store."""
         self._store.add(name, obj, shared=shared)
         self._registry.record_arrival(name)
         self._locks.mark_arrived(name)
-        self._xfer_shard(transfer_id).record_applied(transfer_id)
+        self._xfer_shard(key).record_applied(key)
         with self._lock:
             self.moves_in += 1
 
@@ -807,21 +815,26 @@ class Mover:
                 self.staging_reaped += dead
         return dead
 
-    def prepare(self, prep: TransferPrepare) -> str:
-        """Reserve a staging slot (phase one); idempotent per transfer id."""
+    def prepare(self, prep: TransferPrepare, sender: str = "") -> str:
+        """Reserve a staging slot (phase one); idempotent per transfer id.
+
+        ``sender`` is the node the frame came from: with the transfer id
+        it names the transfer (see :class:`_TransferShard`), here and in
+        the chunk, commit and abort handlers below.
+        """
         self.reap_staging()
-        self._xfer_shard(prep.transfer_id).stage(prep, self.node_id)
+        key = (sender, prep.transfer_id)
+        self._xfer_shard(key).stage(key, prep, self.node_id)
         return "ok"
 
-    def receive_chunk(self, chunk: TransferChunk) -> str:
+    def receive_chunk(self, chunk: TransferChunk, sender: str = "") -> str:
         """Accumulate one streamed slice in its staging slot."""
         data = chunk.data_bytes()  # normalize outside the lock (may copy)
-        self._xfer_shard(chunk.transfer_id).add_chunk(
-            chunk, data, self.node_id
-        )
+        key = (sender, chunk.transfer_id)
+        self._xfer_shard(key).add_chunk(key, chunk, data, self.node_id)
         return "ok"
 
-    def commit(self, commit: TransferCommit) -> str:
+    def commit(self, commit: TransferCommit, sender: str = "") -> str:
         """Atomically apply a fully staged transfer (phase two).
 
         Verifies completeness against the PREPARE's chunk count and byte
@@ -830,25 +843,26 @@ class Mover:
         retransmitted COMMIT re-acks); a commit of an incomplete or
         unknown staging raises, leaving the source's copy authoritative.
         """
-        shard = self._xfer_shard(commit.transfer_id)
+        key = (sender, commit.transfer_id)
+        shard = self._xfer_shard(key)
         try:
-            shard.begin_apply(commit.transfer_id)
+            shard.begin_apply(key)
         except _AlreadyApplied:
             return "ok"
         try:
-            entry = shard.claim_commit(commit, self.node_id)
+            entry = shard.claim_commit(key, commit, self.node_id)
             prep = entry.prepare
             state_blob = b"".join(
                 entry.chunks[i] for i in range(prep.chunk_count)
             )
             cls = self._class_for(prep)
             obj = self.unpack(cls, state_blob)
-            self._apply(prep.name, obj, prep.shared, commit.transfer_id)
+            self._apply(prep.name, obj, prep.shared, key)
         finally:
-            shard.end_apply(commit.transfer_id)
+            shard.end_apply(key)
         return "ok"
 
-    def abort(self, ab: TransferAbort) -> str:
+    def abort(self, ab: TransferAbort, sender: str = "") -> str:
         """Discard a staged transfer; refused once it committed.
 
         Leaves a tombstone: transfer ids are single-use, so any frame of
@@ -864,7 +878,8 @@ class Mover:
         ack an abort of an object that is about to materialize — the
         exact two-copies split the refusal below exists to prevent.
         """
-        self._xfer_shard(ab.transfer_id).abort(ab, self.node_id)
+        key = (sender, ab.transfer_id)
+        self._xfer_shard(key).abort(key, ab, self.node_id)
         return "ok"
 
     def _class_for(self, transfer) -> type:

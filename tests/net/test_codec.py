@@ -229,3 +229,124 @@ class TestTcpNegotiation:
             assert compressions == []
         finally:
             net.shutdown()
+
+
+def _count_zlib_input(monkeypatch):
+    """Record the size of every buffer handed to ``zlib.compress``."""
+    import zlib
+
+    sizes = []
+    real_compress = zlib.compress
+    monkeypatch.setattr(
+        zlib, "compress",
+        lambda data, *args: sizes.append(len(data)) or real_compress(data, *args),
+    )
+    return sizes
+
+
+def _chunk_message(data):
+    from repro.rmi.protocol import TransferChunk
+
+    return Message(kind=MessageKind.TRANSFER_CHUNK, src="a", dst="b",
+                   payload=TransferChunk(transfer_id="xfer-1", index=0,
+                                         data=data))
+
+
+def _decode_wire(wire):
+    from repro.net.tcpnet import _CODEC_SHIFT, _LENGTH_MASK, _decode_frame
+
+    frame = wire if isinstance(wire, bytes) else b"".join(wire)
+    (word,) = struct.unpack(">I", frame[:4])
+    assert word & _LENGTH_MASK == len(frame) - 4
+    return word >> _CODEC_SHIFT, _decode_frame(word >> _CODEC_SHIFT, frame[4:])
+
+
+class TestCompressibilityProbe:
+    """Frames at or above the threshold are sampled before they are
+    compressed: a sample that saves under ``PROBE_MIN_SAVING`` sends the
+    frame raw without ever running the full-frame compressor."""
+
+    def test_random_frame_toward_zlib_peer_skips_full_compression(
+            self, monkeypatch):
+        import os
+
+        net = TcpNetwork(uds=False)  # default 16 KiB threshold, zlib on
+        try:
+            noise = os.urandom(64 * 1024)
+            net.register("src", lambda m: "ok")
+            net.register("dst", lambda m: m.payload == noise)
+            net.call("src", "dst", MessageKind.PING)  # dial + HELLO
+            assert "zlib" in net.negotiated_codecs("src", "dst")
+            sizes = _count_zlib_input(monkeypatch)
+            assert net.call("src", "dst", MessageKind.INVOKE, noise) is True
+            assert sizes  # the probe ran...
+            assert max(sizes) <= codec.PROBE_SAMPLE_BYTES  # ...and only it
+            request = [e for e in net.trace.events()
+                       if e.kind == "INVOKE"][-1]
+            assert request.nbytes > len(noise)  # it crossed raw
+        finally:
+            net.shutdown()
+
+    def test_random_multi_segment_frame_is_never_joined(self, monkeypatch):
+        import os
+
+        from repro.net.tcpnet import _encode_frame
+
+        data = os.urandom(256 * 1024)
+        sizes = _count_zlib_input(monkeypatch)
+        wire = _encode_frame(_chunk_message(memoryview(data)),
+                             lambda n: codec.ZLIB, binary=True)
+        assert max(sizes) <= codec.PROBE_SAMPLE_BYTES
+        # Still a gather list whose blob segment is a view over ``data``:
+        # nothing copied the segments into one buffer.
+        assert isinstance(wire, list)
+        assert any(isinstance(part, memoryview) and part.obj is data
+                   for part in wire)
+        ident, decoded = _decode_wire(wire)
+        assert ident == codec.RAW
+        assert decoded.payload.data_bytes() == data
+
+    def test_compressible_multi_segment_frame_still_compresses(self):
+        from repro.net.tcpnet import _encode_frame
+
+        data = b"state" * 50_000
+        wire = _encode_frame(_chunk_message(memoryview(data)),
+                             lambda n: codec.ZLIB, binary=True)
+        assert isinstance(wire, bytes) and len(wire) < len(data) // 10
+        ident, decoded = _decode_wire(wire)
+        assert ident == codec.ZLIB
+        assert decoded.payload.data_bytes() == data
+
+    def test_frames_no_larger_than_the_sample_skip_the_probe(
+            self, monkeypatch):
+        blob = b"x" * codec.PROBE_SAMPLE_BYTES
+        sizes = _count_zlib_input(monkeypatch)
+        assert codec.compress_frame(codec.ZLIB, (blob,), len(blob))
+        assert sizes == [len(blob)]  # compressed once, outright
+
+    def test_probe_limit_unsampled_compressible_bulk_goes_raw(self):
+        """The heuristic's limit, pinned: a frame whose head, middle and
+        tail are random but whose unsampled bulk is compressible goes
+        raw.  That costs compression ratio, never correctness — the frame
+        still decodes byte for byte."""
+        import os
+
+        span = codec.PROBE_SAMPLE_BYTES // 3
+        size = 64 * 1024
+        frame = bytearray(size)
+        for start in (0, (size - span) // 2, size - span):
+            frame[start:start + span] = os.urandom(span)
+        frame = bytes(frame)
+        assert len(codec.encode(codec.ZLIB, frame)) < size // 2
+        assert codec.compress_frame(codec.ZLIB, (frame,), size) is None
+
+    def test_sample_reads_across_segment_boundaries(self):
+        """Windows that straddle segments read the same bytes a joined
+        frame would give, so segmentation never changes the verdict."""
+        import os
+
+        frame = os.urandom(40_000)
+        cuts = (0, 5, 1024, 1030, 19_000, 20_500, 39_000, 40_000)
+        parts = [memoryview(frame)[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert (codec._probe_sample(parts, len(frame))
+                == codec._probe_sample((frame,), len(frame)))

@@ -276,9 +276,10 @@ class TestBatchRetransmission:
         Transport.execute_handler(batch, handler, cache)
         # Simulate the batch-level entry falling to LRU capacity pressure
         # while the (more recent) sub-entries survive.
-        shard = cache._shard(batch.msg_id)
+        key = (batch.src, batch.msg_id)
+        shard = cache._shard(key)
         with shard._lock:
-            del shard._entries[batch.msg_id]
+            del shard._entries[key]
         replay = Transport.execute_handler(batch, handler, cache)
         assert [p.value for p in replay.value] == ["x", "y"]
         assert executed == ["x", "y"]
@@ -325,3 +326,41 @@ class TestBatchRetransmission:
         # The drop really happened (one REPLY(BATCH) attempt was eaten).
         dropped = [e for e in net.trace.events() if e.dropped]
         assert len(dropped) == 1
+
+
+class TestMessageIdsAreScopedBySource:
+    """Every process counts message ids from 1, so two sources can send
+    the same ``msg_id`` to one node; each must get its own reply."""
+
+    def test_same_msg_id_from_two_sources_runs_twice(self):
+        cache = ReplyCache()
+
+        def handler(msg):
+            return f"hello {msg.src}"
+
+        replies = [
+            Transport.execute_handler(
+                Message(kind=MessageKind.PING, src=src, dst="hub",
+                        msg_id="msg-1"),
+                handler, cache)
+            for src in ("a", "b")
+        ]
+        assert [r.value for r in replies] == ["hello a", "hello b"]
+
+    def test_same_msg_id_from_two_sources_over_tcp(self, monkeypatch):
+        import itertools
+
+        from repro.net.tcpnet import TcpNetwork
+        from repro.util import ids
+
+        net = TcpNetwork(uds=False)
+        try:
+            net.register("hub", lambda m: f"hello {m.src}")
+            for src in ("a", "b"):
+                net.register(src, lambda m: None)
+            # Both sources draw "msg-7", as two processes' counters would.
+            monkeypatch.setattr(ids._TOKENS, "_counter", itertools.repeat(7))
+            assert net.call("a", "hub", MessageKind.PING) == "hello a"
+            assert net.call("b", "hub", MessageKind.PING) == "hello b"
+        finally:
+            net.shutdown()

@@ -13,6 +13,7 @@ import pytest
 from repro.bench.workloads import Counter
 from repro.errors import MigrationError
 from repro.net.deadline import Deadline
+from repro.net.message import MessageKind
 from repro.rmi.protocol import (
     ObjectTransfer,
     TransferAbort,
@@ -495,3 +496,53 @@ class TestDepartureLocking:
         locks.abort_departure("obj")
         thread.join(2.0)
         assert len(results) == 1 and results[0].kind == "stay"
+
+
+class TestTransferIdsAreScopedBySender:
+    """Transfer ids come from a per-process counter, so two origins in
+    different processes can stage under the same ``xfer-N`` at one
+    receiver.  Receiver state keys on (sender, transfer id)."""
+
+    def test_two_origins_stage_the_same_transfer_id_at_one_receiver(
+            self, trio):
+        gamma = trio["gamma"].namespace
+        frames = {
+            origin: _staged_parts(gamma.mover, name=f"from-{origin}",
+                                  transfer_id="xfer-1",
+                                  payload=origin[:1].encode() * 1000)
+            for origin in ("alpha", "beta")
+        }
+        call = trio.transport.call
+        for origin, (prepare, _) in frames.items():
+            assert call(origin, "gamma", MessageKind.TRANSFER_PREPARE,
+                        prepare) == "ok"
+        # Interleave the two streams' chunks at the receiver.
+        for pair_of_chunks in zip(*(chunks for _, chunks in frames.values())):
+            for origin, chunk in zip(frames, pair_of_chunks):
+                assert call(origin, "gamma", MessageKind.TRANSFER_CHUNK,
+                            chunk) == "ok"
+        for origin in frames:
+            commit = TransferCommit(transfer_id="xfer-1",
+                                    name=f"from-{origin}")
+            assert call(origin, "gamma", MessageKind.TRANSFER_COMMIT,
+                        commit) == "ok"
+        for origin in ("alpha", "beta"):
+            moved = gamma.store.get(f"from-{origin}")
+            assert moved.payload == origin[:1].encode() * 1000
+        assert gamma.mover.staging_count() == 0
+
+    @pytest.mark.parametrize("size", [64, 64 * 1024])
+    def test_colliding_ids_from_two_origins_both_land(
+            self, make_cluster, monkeypatch, size):
+        """Single-frame (64 B) and streamed (64 KiB) moves from two
+        origins that draw the same transfer id both materialize."""
+        monkeypatch.setattr("repro.runtime.mover.fresh_token",
+                            lambda prefix="tok": f"{prefix}-1")
+        cluster = _streaming_cluster(make_cluster)
+        cluster["alpha"].register("a", BigState(size=size, fill=b"a"))
+        cluster["beta"].register("b", BigState(size=size, fill=b"b"))
+        assert cluster["alpha"].namespace.move("a", "gamma") == "gamma"
+        assert cluster["beta"].namespace.move("b", "gamma") == "gamma"
+        store = cluster["gamma"].namespace.store
+        assert store.get("a").blob == b"a" * size
+        assert store.get("b").blob == b"b" * size
