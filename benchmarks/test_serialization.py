@@ -5,9 +5,10 @@ path.  For every registered control-plane payload class it times the
 full envelope cycle both ways:
 
 * binary — ``wirecodec.encode_envelope`` / ``wirecodec.decode_envelope``
-  (schema-compiled per-class codecs, negotiated via HELLO), and
-* pickle — ``message.to_wire`` / ``message.from_wire`` (the flattened
-  pickled-tuple envelope that legacy peers still speak).
+  (schema-compiled per-class codecs, the TCP transport's only envelope),
+  and
+* pickle — ``message.to_wire`` / ``message.from_wire`` (a flattened
+  pickled-tuple envelope, kept only as this bench's reference).
 
 The shape that must hold: the binary codec wins **encode and decode for
 every payload class** — a single regressed class is a compile-time

@@ -1,31 +1,23 @@
-"""Transport throughput: connection-per-call vs pooled vs pipelined TCP.
+"""Transport throughput: pipelined TCP, with auto-batching on and off.
 
-Not a paper figure — an engineering bench for the ROADMAP's "fast as the
-hardware allows" north star.  The seed transport mirrored early RMI's
-connection-per-call behaviour (a fresh socket and a fresh server thread
-per request); the pooled transport keeps one persistent connection per
-(src, dst) pair, and the pipelined mode additionally carries many
-concurrent exchanges on that one connection, matching replies to callers
-by message id — since the reactor rewrite, over an event-loop data plane
-with adaptive frame coalescing.
+Not a paper figure — an engineering bench for the transport's one data
+path: a persistent pipelined connection per (src, dst) pair carrying
+many concurrent exchanges, matching replies to callers by message id,
+over an event-loop data plane with adaptive frame coalescing.
 
-The bench runs 8 concurrent callers against one node in each mode, adds
-a 64-caller pipelined point (where per-wake costs amortize), and — since
-the call path learned transparent aggregation — measures both pipelined
-points with auto-batching disabled too, so the coalescing win is its own
-recorded number rather than folded into the mode comparison.  The server
-handler is declared ``inline_safe``: PING is on the inline allowlist, so
-the bench exercises the full fast path (client-side AUTO_BATCH frames,
-loop-thread dispatch, aggregated replies).  Results go to
-``results/transport_throughput.txt`` and a machine-readable
-``results/BENCH_transport_throughput.json`` (including the reactor's
-data-plane counters — batch-size histogram, inline-dispatch tallies) so
-future transport changes can diff against a recorded baseline.  The
-shape that must hold: pipelining beats connection-per-call by at least
-2x, and pooling stays measurably ahead of it.  (The reactor accelerated
-per-call mode too — a fresh connection now costs a loop registration
-instead of a spawned reader thread — so the pooled gap is narrower than
-in the thread-per-connection era.)
+The bench runs 8 concurrent callers against one node, adds a 64-caller
+point (where per-wake costs amortize), and measures both points with
+auto-batching disabled too, so the coalescing win is its own recorded
+number.  The server handler is declared ``inline_safe``: PING is on the
+inline allowlist, so the bench exercises the full fast path
+(client-side AUTO_BATCH frames, loop-thread dispatch, aggregated
+replies).  Results go to ``transport_throughput.txt`` and a
+machine-readable ``BENCH_transport_throughput.json`` (including the
+reactor's data-plane counters — batch-size histogram, inline-dispatch
+tallies) so future transport changes can diff against a recorded
+baseline.  The shapes that must hold: a ``call_many`` batch of 8 is one
+round trip (2 frames, against 16 for 8 calls), 64 callers form
+AUTO_BATCH frames, and the batching-off point forms none.
 """
 
 from __future__ import annotations
@@ -34,13 +26,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-import pytest
-
 from repro.net.message import MessageKind, inline_safe
-from repro.net.tcpnet import MODES, TcpNetwork
+from repro.net.tcpnet import TcpNetwork
 from repro.runtime.metrics import collect_data_plane
 
-#: The acceptance shape: pooled/pipelined vs per-call at 8 callers.
+#: The base point: 8 concurrent callers on one connection.
 WORKERS = 8
 CALLS_PER_WORKER = 50
 #: The amortization point: many callers sharing one pipelined connection.
@@ -77,7 +67,7 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def measure_throughput(mode: str, workers: int = WORKERS,
+def measure_throughput(workers: int = WORKERS,
                        calls: int = CALLS_PER_WORKER,
                        **net_kwargs) -> ThroughputSample:
     """Rate and latency spread for ``workers`` concurrent callers.
@@ -85,13 +75,13 @@ def measure_throughput(mode: str, workers: int = WORKERS,
     ``net_kwargs`` reach the :class:`TcpNetwork` constructor — the
     auto-batch comparison points pass ``auto_batch=False`` here.
     """
-    net = TcpNetwork(mode=mode, **net_kwargs)
+    net = TcpNetwork(**net_kwargs)
     try:
         net.register("client", lambda m: None)
         # inline_safe: PING is allowlisted, so declaring the echo handler
         # non-blocking lets the server answer on the reactor loop thread.
         net.register("server", inline_safe(lambda m: m.payload))
-        for _ in range(WARMUP_CALLS):  # establish pooled connections
+        for _ in range(WARMUP_CALLS):  # establish the connection
             net.call("client", "server", MessageKind.PING, 0)
         barrier = threading.Barrier(workers + 1)
         lanes: list[list[float]] = [[] for _ in range(workers)]
@@ -125,11 +115,11 @@ def measure_throughput(mode: str, workers: int = WORKERS,
         net.shutdown()
 
 
-def best_of(samples: int, mode: str, workers: int = WORKERS,
+def best_of(samples: int, workers: int = WORKERS,
             calls: int = CALLS_PER_WORKER, **net_kwargs) -> ThroughputSample:
     """Best-rate sample of ``samples`` runs (damps box noise)."""
     return max(
-        (measure_throughput(mode, workers, calls, **net_kwargs)
+        (measure_throughput(workers, calls, **net_kwargs)
          for _ in range(samples)),
         key=lambda sample: sample.calls_per_s,
     )
@@ -157,39 +147,29 @@ def measure_batch_round_trips(batch_size: int) -> tuple[int, int]:
 
 
 def test_transport_throughput(report):
-    results = {mode: best_of(SAMPLES, mode) for mode in MODES}
-    wide = best_of(SAMPLES, "pipelined", WIDE_WORKERS, WIDE_CALLS_PER_WORKER)
-    # The same two pipelined points with auto-batching off isolate the
-    # coalescing win from everything else the pipelined mode does.
-    nobatch = best_of(SAMPLES, "pipelined", auto_batch=False)
-    wide_nobatch = best_of(SAMPLES, "pipelined", WIDE_WORKERS,
-                           WIDE_CALLS_PER_WORKER, auto_batch=False)
+    pipelined = best_of(SAMPLES)
+    wide = best_of(SAMPLES, WIDE_WORKERS, WIDE_CALLS_PER_WORKER)
+    # The same two points with auto-batching off isolate the coalescing
+    # win from everything else the pipelined path does.
+    nobatch = best_of(SAMPLES, auto_batch=False)
+    wide_nobatch = best_of(SAMPLES, WIDE_WORKERS, WIDE_CALLS_PER_WORKER,
+                           auto_batch=False)
     sequential_msgs, batched_msgs = measure_batch_round_trips(8)
-    rates = {mode: sample.calls_per_s for mode, sample in results.items()}
-    speedups = {mode: rates[mode] / rates["per-call"] for mode in MODES}
-    lines = [
-        "Transport throughput -- 8 concurrent callers, loopback TCP",
-        "(connection strategy vs calls/second; speedup over per-call)",
-        "",
-    ]
-    for mode in MODES:
-        sample = results[mode]
-        lines.append(
-            f"  {mode:<10s} {sample.calls_per_s:>10.0f} calls/s   "
-            f"{speedups[mode]:>5.2f}x   "
-            f"p50 {sample.p50_ms:>6.2f} ms   p99 {sample.p99_ms:>7.2f} ms"
-        )
     wide_plane = wide.data_plane or {}
-    lines += [
+    lines = [
+        "Transport throughput -- pipelined loopback TCP",
         "",
+        f"  pipelined x{WORKERS} callers  "
+        f"{pipelined.calls_per_s:>10.0f} calls/s   "
+        f"p50 {pipelined.p50_ms:>6.2f} ms   p99 {pipelined.p99_ms:>7.2f} ms",
         f"  pipelined x{WIDE_WORKERS} callers "
-        f"{wide.calls_per_s:>10.0f} calls/s           "
+        f"{wide.calls_per_s:>10.0f} calls/s   "
         f"p50 {wide.p50_ms:>6.2f} ms   p99 {wide.p99_ms:>7.2f} ms",
         "",
-        "auto-batching (pipelined, on vs off):",
-        f"  x{WORKERS:<3d} callers  on {results['pipelined'].calls_per_s:>9.0f}"
+        "auto-batching (on vs off):",
+        f"  x{WORKERS:<3d} callers  on {pipelined.calls_per_s:>9.0f}"
         f" calls/s   off {nobatch.calls_per_s:>9.0f} calls/s   "
-        f"{results['pipelined'].calls_per_s / nobatch.calls_per_s:>5.2f}x",
+        f"{pipelined.calls_per_s / nobatch.calls_per_s:>5.2f}x",
         f"  x{WIDE_WORKERS:<3d} callers  on {wide.calls_per_s:>9.0f}"
         f" calls/s   off {wide_nobatch.calls_per_s:>9.0f} calls/s   "
         f"{wide.calls_per_s / wide_nobatch.calls_per_s:>5.2f}x",
@@ -208,10 +188,7 @@ def test_transport_throughput(report):
         "workers": WORKERS,
         "calls_per_worker": CALLS_PER_WORKER,
         "samples": SAMPLES,
-        "modes": {
-            mode: {**sample.as_dict(), "speedup": round(speedups[mode], 2)}
-            for mode, sample in results.items()
-        },
+        "pipelined": pipelined.as_dict(),
         "pipelined_wide": {
             "workers": WIDE_WORKERS,
             "calls_per_worker": WIDE_CALLS_PER_WORKER,
@@ -234,12 +211,6 @@ def test_transport_throughput(report):
     }
     report("transport_throughput", "\n".join(lines), data)
 
-    # The acceptance shape: pipelining beats connection-per-call by
-    # >= 2x at 8 concurrent callers, and pooling alone still wins
-    # measurably (the reactor narrowed the per-call gap — connecting no
-    # longer spawns a thread — so 2x is pipelining's bar, not pooling's).
-    assert rates["pipelined"] >= 2.0 * rates["per-call"], speedups
-    assert rates["pooled"] >= 1.2 * rates["per-call"], speedups
     # Batching collapses 8 round trips (16 frames) into one (2 frames).
     assert sequential_msgs == 16
     assert batched_msgs == 2
@@ -249,28 +220,3 @@ def test_transport_throughput(report):
     assert wide_plane.get("auto_batches", 0) > 0, wide_plane
     assert (wide_nobatch.data_plane or {}).get("auto_batches", 0) == 0, \
         wide_nobatch.data_plane
-
-
-def test_pipelined_beats_pooled_smoke():
-    """Cheap tier-1 guard: pipelining must not regress below pooling.
-
-    Low iteration counts keep this a smoke check, and best-of-N damps
-    scheduler noise; the margin allows a sliver of residual jitter
-    without letting a real regression (pipelining slower than one
-    serialized exchange at a time) slip through.
-    """
-    pipelined = best_of(2, "pipelined", workers=4, calls=25).calls_per_s
-    pooled = best_of(2, "pooled", workers=4, calls=25).calls_per_s
-    assert pipelined >= 0.9 * pooled, (pipelined, pooled)
-
-
-@pytest.mark.slow
-def test_transport_throughput_sustained():
-    """Stress variant: heavier per-worker volume, pipelined only.
-
-    Excluded from tier-1 (``-m "not slow"``); run explicitly with
-    ``pytest -m slow benchmarks/test_transport_throughput.py``.
-    """
-    rate = measure_throughput("pipelined", workers=8, calls=500).calls_per_s
-    baseline = measure_throughput("per-call", workers=8, calls=500).calls_per_s
-    assert rate >= 2.0 * baseline

@@ -14,11 +14,13 @@ endpoint layer:
    hub's endpoint, passed on its command line).  Its JOIN carries its
    own endpoint; the hub records it in its address book and answers
    with the cluster roster.
-2. **HELLO-negotiated wire** — the first connection in each direction
-   opens with a HELLO exchange: protocol version, node id, codec
-   advertisement.  No ``advertise_codecs`` registry call exists between
-   the processes, yet large frames compress — negotiation happened on
-   the wire.
+2. **HELLO-negotiated wire** — every connection opens with a required
+   HELLO exchange: protocol version, node id, codec advertisement and
+   the binary envelope's format digest.  The two processes share no
+   registry, yet large frames compress — negotiation happened on the
+   wire — and every later frame is a binary envelope.  A peer on
+   another protocol version or wire digest would be refused with
+   ``ConfigurationError`` rather than talked to.
 3. **The paper's operations, cross-process** — a remote invocation, a
    stay/move lock served by the other process, and a large object
    *streamed* to the worker as TRANSFER_PREPARE / CHUNK / COMMIT.

@@ -22,7 +22,7 @@ paper-versus-measured record of every table and figure.
 """
 
 from repro import errors
-from repro.cluster import Cluster, DiscoveryService, LoadMonitor, Membership, Node
+from repro.cluster import Cluster, LoadMonitor, Membership, Node
 from repro.core import (
     CLE,
     COD,
@@ -69,7 +69,6 @@ __all__ = [
     "Cluster",
     "Combined",
     "ConstantLatency",
-    "DiscoveryService",
     "Membership",
     "FactoryMode",
     "GREV",

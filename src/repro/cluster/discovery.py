@@ -23,12 +23,11 @@ needs three more things, which this service provides:
   :class:`~repro.cluster.load.LoadBalancer` given this membership never
   picks one as a migration target), their forwarding hints are evicted
   from the local registry, and the transport prunes their per-peer state
-  (latency EWMAs, codec advertisements, address-book entry, channels).
+  (latency EWMAs, address-book entry, channels).
 
 Nothing here runs unless asked: with no joins and no heartbeat the
-service answers exactly like the PR-4 ``DiscoveryService`` it grew from
-— ``hosts()`` is the transport's node list — which keeps every
-simulated-network trace byte-identical.
+service is a plain discovery view — ``hosts()`` is the transport's
+node list — which keeps every simulated-network trace byte-identical.
 """
 
 from __future__ import annotations
@@ -346,12 +345,3 @@ class Membership:
         """Register ``callback(node_id)`` to run on each death verdict."""
         with self._lock:
             self._death_callbacks.append(callback)
-
-
-class DiscoveryService(Membership):
-    """Backward-compatible name for :class:`Membership`.
-
-    Earlier PRs exposed discovery-only queries under this name; the
-    membership refactor grew it join/announce/heartbeat machinery
-    without changing any existing method's behaviour.
-    """

@@ -6,13 +6,12 @@ Two interchangeable transports implement :class:`repro.net.transport.Transport`:
   virtual clock, configurable latency/loss, partitions, and full message
   tracing.  This is the default substrate for tests and benches, standing in
   for the paper's 10 Mb/s Ethernet testbed.
-* :class:`repro.net.tcpnet.TcpNetwork` — real TCP sockets on loopback.  By
-  default it keeps one persistent, *pipelined* connection per (src, dst)
-  pair: frames carry message ids, a reader thread matches replies to
-  waiting callers, and the server feeds a bounded worker pool from
-  per-connection serve loops.  ``mode="per-call"`` restores early RMI's
-  connection-per-call behaviour (the throughput bench's baseline) and
-  ``mode="pooled"`` reuses connections without pipelining.
+* :class:`repro.net.tcpnet.TcpNetwork` — real TCP sockets, loopback or
+  cross-host, with one data path: a persistent, *pipelined* connection
+  per (src, dst) pair that opens with a required HELLO exchange and then
+  carries only :mod:`repro.net.wirecodec` binary envelopes.  Frames carry
+  message ids, the reactor matches replies to waiting callers, and the
+  server feeds a bounded worker pool.
 
 Shared guarantees, regardless of transport:
 
@@ -103,7 +102,7 @@ Completion model: the **simulated network** completes futures eagerly on
 the calling thread — deterministic messages, traces, and virtual-clock
 charges, identical to the equivalent loop of blocking calls.  The
 **pipelined TCP transport** implements futures natively on its waiter
-mechanism: submission writes the frame, the connection's reader thread
+mechanism: submission writes the frame, the reactor
 resolves the future, so N outstanding futures overlap N round trips on
 one socket.
 
@@ -120,10 +119,9 @@ it.
 
 The TCP transport additionally carries a **negotiated per-frame codec**
 (:mod:`repro.net.codec`): frames at or above a size threshold are
-compressed (zlib by default, lz4 when importable) toward peers that
-advertise the codec; everything else — all small control traffic — ships
-with framing byte-identical to the pre-codec wire format, and
-mixed-codec deployments degrade to raw rather than failing.
+compressed (zlib by default, lz4 when importable) toward peers whose
+HELLO advertised the codec; everything else — all small control traffic,
+and frames toward a peer that advertised no shared codec — ships raw.
 ``TcpNetwork(bandwidth_mbps=...)`` emulates link throughput the way
 ``latency_ms`` emulates delay, so benches can price what compression
 and chunking buy.
@@ -136,16 +134,17 @@ every transport keeps an **address book** (``connect(node_id,
 endpoint)`` / ``endpoint_of`` / ``known_peers`` / ``forget_peer``) for
 peers hosted by *other processes or machines*.  ``TcpNetwork(bind=...,
 advertise_host=..., ports=...)`` opens the listeners beyond loopback,
-and every new pooled/pipelined connection starts with a **HELLO
-handshake** (:class:`repro.net.endpoint.Hello`): protocol version, node
-id, and codec advertisement cross the wire, so codec negotiation no
-longer needs any shared in-process registry.  No-HELLO peers, HELLO
-timeouts, and protocol-version mismatches all degrade to raw framing —
-never fail — and HELLO frames are invisible to message traces.  The
-cluster layer's :class:`repro.cluster.discovery.Membership` service
-fills the address book via seed-list JOIN and ANNOUNCE propagation and
-prunes it (with the per-link EWMAs and codec advertisements) when its
-heartbeat declares a peer dead.
+and every new connection starts with a **HELLO exchange**
+(:class:`repro.net.endpoint.Hello`): protocol version, node id, codec
+advertisement and wire-format digest cross the wire, so codec
+negotiation needs no shared in-process registry.  The exchange is
+required and fails loudly: no HELLO within the connect timeout is
+``NodeUnreachableError``, and another protocol version or wire digest
+is ``ConfigurationError``.  HELLO frames are invisible to message
+traces.  The cluster layer's :class:`repro.cluster.discovery.Membership`
+service fills the address book via seed-list JOIN and ANNOUNCE
+propagation and prunes it (with the per-link EWMAs) when its heartbeat
+declares a peer dead.
 
 Transports also keep **per-link latency EWMAs**
 (``note_link_latency`` / ``link_latency_s`` / ``rank_by_latency``) — the

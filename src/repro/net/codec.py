@@ -6,17 +6,14 @@ round trips.  The TCP transport therefore supports compressing whole
 frames — but only when three conditions hold:
 
 * the frame is at least ``threshold`` bytes (small control messages are
-  never touched, so their wire bytes stay identical to the pre-codec
-  framing);
+  never touched);
 * the sender is configured to write the codec;
-* the receiving *peer* advertises that it accepts the codec (negotiation;
-  mixed-codec deployments fall back to raw rather than failing).
+* the receiving *peer*'s HELLO advertised that it accepts the codec
+  (negotiation; a peer that shares no codec gets raw frames).
 
 The codec id travels in the top three bits of the 4-byte frame length
-prefix.  Raw frames use id 0, so an uncompressed frame is **byte-for-byte
-identical** to the framing every earlier PR produced — a peer that
-pre-dates codecs interoperates as long as nobody compresses toward it,
-which is exactly what negotiation guarantees.
+prefix.  Raw frames use id 0, so an uncompressed frame is just the
+length prefix and the body.
 
 A frame that clears the threshold is not compressed blindly: a
 **compressibility probe** first compresses a :data:`PROBE_SAMPLE_BYTES`
@@ -110,17 +107,18 @@ def available_codecs() -> tuple[str, ...]:
 
 
 def choose_codec(nbytes: int, write_codecs: tuple[str, ...],
-                 peer_codecs: tuple[str, ...], threshold: int) -> int:
+                 advertised: tuple[str, ...], threshold: int) -> int:
     """The codec id one frame of ``nbytes`` should be written with.
 
     ``RAW`` unless the frame clears the size threshold and sender and
-    receiver share a codec; the first shared entry of ``write_codecs``
-    (sender preference order) wins.
+    receiver share a codec (``advertised`` is what the receiver's HELLO
+    listed); the first shared entry of ``write_codecs`` (sender
+    preference order) wins.
     """
     if nbytes < threshold:
         return RAW
     for name in write_codecs:
-        if name in peer_codecs and name in _AVAILABLE:
+        if name in advertised and name in _AVAILABLE:
             return _NAME_TO_ID[name]
     return RAW
 

@@ -1,29 +1,27 @@
 """Cross-host endpoints and the wire-level HELLO handshake.
 
-Until now every layer silently assumed one process: the TCP transport
-bound only loopback and resolved peers through its in-process registry of
-node servers, and codec advertisement rode that same registry.  This
-module is the vocabulary that lets the stack span real machines:
+This module is the vocabulary that lets the stack span real machines:
 
 * :class:`Endpoint` — a ``(host, port)`` address a node can be reached
   at.  Transports keep an **address book** (``node_id -> Endpoint``,
   see :meth:`repro.net.transport.Transport.connect`) for peers that were
   never locally registered; the cluster layer's membership service
   propagates the book via JOIN/ANNOUNCE.
-* :class:`Hello` — the first frame each side of a new TCP connection
+* :class:`Hello` — the first frame each side of every TCP connection
   sends: protocol version, node identity, codec advertisement, and a
-  free-form settings map.  Codec negotiation thereby moves **onto the
-  wire**: a sender compresses toward a peer only per what that peer's
-  HELLO advertised, so two processes that have never shared a registry
-  still negotiate.  The handshake degrades, never fails — a peer that
-  answers no HELLO within the handshake window, or one speaking a
-  different protocol version, is simply written to in raw framing
-  (which is byte-identical to the pre-handshake wire format).
+  settings map (the binary wire format's digest among them).  Codec
+  negotiation happens **on the wire**: a sender compresses toward a
+  peer only per what that peer's HELLO advertised, so two processes
+  that have never shared a registry still negotiate.  The exchange is
+  required: a peer that answers no HELLO is unreachable, and one whose
+  HELLO names another protocol version or wire digest is refused with
+  :class:`~repro.errors.ConfigurationError`
+  (:func:`repro.net.wirecodec.check_hello`).
 
 HELLO frames are wire-level: they are not :class:`~repro.net.message.
 Message` envelopes, never reach a node's dispatcher, and are invisible
-to message traces — a trace-asserting bench sees the exact same message
-sequence whether or not its transport handshakes.
+to message traces.  A HELLO is the one frame per connection that the
+TCP transport unpickles.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 #: Version of the frame-level wire protocol spoken after the HELLO
-#: exchange.  Mismatched peers degrade to raw framing (the lowest common
-#: dialect every version shares) instead of failing.
+#: exchange.  A peer on another version is refused at the HELLO.
 PROTOCOL_VERSION = 1
 
 
@@ -105,25 +102,25 @@ class Endpoint:
 class Hello:
     """The handshake frame exchanged once per new TCP connection.
 
-    The client sends its HELLO immediately after connecting and waits
-    (briefly) for the server's; both directions carry:
+    The client sends its HELLO immediately after connecting and waits,
+    inside its connect timeout, for the server's; both directions carry:
 
     ``version``
         :data:`PROTOCOL_VERSION` of the sender.  A receiver seeing any
-        other version records an empty negotiation — raw frames only —
-        and keeps serving.
+        other version refuses the connection.
     ``node_id``
         Who is speaking: the client's source node, or the node the
         contacted listener serves.  Lets a server attribute a
         connection to a peer it never registered locally.
     ``codecs``
         The frame codecs the *sender* can decode — i.e. what the other
-        side may compress toward it.  This is the advertisement that
-        used to ride the in-process ``advertise_codecs`` registry.
+        side may compress toward it.
     ``settings``
-        Free-form sender configuration (frame bound, connection mode,
-        ...).  Receivers ignore keys they do not know, which is what
-        lets the handshake grow fields without a version bump.
+        Sender configuration: ``"wire"`` (the binary envelope's format
+        digest, required), plus optional keys such as a server's
+        same-host Unix-socket facet.  Receivers ignore keys they do
+        not know, which is what lets the handshake grow optional fields
+        without a version bump.
     """
 
     version: int

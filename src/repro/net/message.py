@@ -124,7 +124,7 @@ class Message:
     the request a REPLY answers so traces read like the paper's figures,
     e.g. ``REPLY(INVOKE)``.  ``reply_to_id`` carries the *message id* of the
     request a REPLY answers: transports that pipeline several concurrent
-    requests over one connection (the pooled TCP transport) match replies to
+    requests over one connection (the pipelined TCP transport) match replies to
     waiting callers by this id.
 
     ``deadline`` is the request's remaining end-to-end time budget (or
@@ -213,12 +213,12 @@ def build_message(
 
 
 def to_wire(message: Message) -> bytes:
-    """Flatten ``message`` to bytes for the TCP wire.
+    """Flatten ``message`` to a pickled positional tuple.
 
-    A positional tuple with enums as their string values is roughly
-    twice as cheap to serialize and a third the size of pickling the
-    dataclass itself — and the envelope codec is a fixed cost on every
-    hot-path call.  Payloads still pickle by their own rules.
+    Kept only as the reference the serialization bench
+    (``benchmarks/test_serialization.py``) measures the binary codec
+    against; no transport path calls it — TCP frames are
+    :mod:`repro.net.wirecodec` binary envelopes.
     """
     in_reply_to = message.in_reply_to
     return pickle.dumps(
@@ -231,11 +231,11 @@ def to_wire(message: Message) -> bytes:
 
 
 def from_wire(blob: bytes) -> object:
-    """Inverse of :func:`to_wire`.
+    """Inverse of :func:`to_wire` (the serialization bench's reference).
 
-    A frame that does not hold a flattened envelope — a wire-level
-    HELLO, or an envelope pickled whole by an older build — comes back
-    as whatever it unpickles to; callers route on the type.
+    Runs unrestricted ``pickle.loads``; no transport path calls it.  A
+    blob that is not a flattened envelope comes back as whatever it
+    unpickles to.
     """
     obj: object = pickle.loads(blob)
     if type(obj) is not tuple:

@@ -20,7 +20,7 @@ Properties that matter for the reproduction:
 ``Transport.call_many`` needs no code here: the base class packs the batch
 into one BATCH envelope, and because this transport charges latency per
 *message*, a batch of N requests costs one round trip on the virtual
-clock — exactly the saving the pooled TCP transport realizes in real time.
+clock — exactly the saving the pipelined TCP transport realizes in real time.
 
 ``Transport.call_async`` likewise needs no code: the base class completes
 the future *eagerly on the calling thread*, so a scatter-gather over this

@@ -1,79 +1,83 @@
-"""Real TCP transport, cross-host capable, with persistent pooled connections.
+"""Real TCP transport, cross-host capable, with one pipelined data path.
 
 The simulated network answers "does the model behave as the paper says";
 this transport answers "does the stack actually run over sockets".  Each
 registered node owns a listening socket on the configured ``bind``
 interface (``127.0.0.1`` by default; ephemeral port unless pinned via
-``ports``); messages are length-prefixed pickled envelopes.
+``ports``).
 
 Peers fall in two classes.  Nodes *registered on this transport* are
-served in process, exactly as before.  Nodes hosted by **other
-processes/machines** are reached through the transport's address book
+served in process.  Nodes hosted by **other processes/machines** are
+reached through the transport's address book
 (:meth:`~repro.net.transport.Transport.connect` records
 ``node_id -> Endpoint``); the cluster layer's membership service fills
-the book from a seed list and JOIN/ANNOUNCE propagation.  With an empty
-address book every path below is byte-identical to the single-process
-transport of earlier PRs.
+the book from a seed list and JOIN/ANNOUNCE propagation.
 
-Every new pooled/pipelined connection opens with a **HELLO handshake**
-(:mod:`repro.net.endpoint`): the client sends protocol version, node id,
-codec advertisement, and settings, then waits briefly for the server's
-HELLO.  Codec negotiation thereby happens **on the wire** — two
-processes that never shared a registry still compress toward each other
-— while a peer that answers no HELLO (a pre-handshake build, modelled by
-``handshake=False``) or speaks another protocol version degrades to raw
-framing, never fails.  HELLO frames are wire-level only: they are not
-``Message`` envelopes, are invisible to traces, and the ``per-call``
-mode (the early-RMI baseline) skips them entirely.
+**One wire.**  Every connection opens with a **HELLO exchange**
+(:mod:`repro.net.endpoint`): the client writes its HELLO and waits,
+inside ``connect_timeout_s``, for the server's before any request frame
+is written.  HELLO carries the protocol version, the node id, the frame
+codecs the sender decodes, and ``settings["wire"]``, the binary
+envelope's schema digest (:data:`repro.net.wirecodec.WIRE_FORMAT`).
+Every later frame is a :mod:`~repro.net.wirecodec` binary envelope, so
+the HELLO is the only frame on a connection that is unpickled whole
+(inside an envelope, only values the codec does not compile take its
+pickle tag).  There is no fallback dialect, so a mismatch fails loudly:
 
-Three client-side connection strategies (``mode=``), slowest to fastest:
+* a peer HELLO with another protocol version or another wire digest
+  raises :class:`~repro.errors.ConfigurationError` at the caller, naming
+  both values (the server answers with its own HELLO, so the client can
+  tell why, then closes the connection without dispatching anything);
+* no HELLO within ``connect_timeout_s`` raises
+  :class:`~repro.errors.NodeUnreachableError` — the request frame was
+  never written, so at-most-once holds;
+* a connection whose first frame is not a HELLO, or any later frame
+  that is not a binary envelope (a second HELLO included), is closed
+  with :class:`~repro.errors.MarshalError`.  Only that connection dies;
+  others on the same reactor loop are untouched.
 
-* ``"per-call"`` — a fresh connection per request, mirroring early RMI's
-  connection-per-call behaviour.  Kept as the baseline the throughput
-  bench measures against.
-* ``"pooled"`` — one persistent connection per (src, dst) pair, reused
-  across calls but carrying one exchange at a time.  Saves the connect
-  handshake on every call after the first.
-* ``"pipelined"`` (default) — the pooled connection additionally carries
-  many concurrent exchanges at once: submission enqueues the frame on
-  the reactor's per-connection write queue, and incoming reply frames
-  are demultiplexed to waiting callers by ``Message.reply_to_id``.  N
-  threads calling into one destination share one socket and one
-  round-trip pipeline.  The same mechanism implements ``call_async``
-  natively: submission writes the frame and parks a
-  :class:`~repro.net.transport.CallFuture` that the reactor resolves, so
-  one caller can scatter N requests (to one node or to N nodes) and
-  overlap every round trip without extra threads.
-  ``CallFuture.cancel()`` and deadline expiry both *abandon* an
-  in-flight exchange the same way a timed-out waiter does: the pending
-  reply slot is released, the late reply is dropped, and other waiters
-  sharing the connection are untouched.  A request's deadline also caps
-  every reply wait (io timeout or less) and is enforced server-side: a
-  frame whose deadline expired in the worker queue is dropped at
-  dequeue.
+HELLO frames are wire-level only: they are not ``Message`` envelopes and
+are invisible to traces.
 
-**Data plane.**  All pooled/pipelined sockets — client channels,
-server-accepted connections, and listeners — are owned by a shared
+**Pipelining.**  One persistent connection per (src, dst) pair carries
+many concurrent exchanges at once: submission enqueues the frame on the
+reactor's per-connection write queue, and incoming reply frames are
+demultiplexed to waiting callers by ``Message.reply_to_id``.  N threads
+calling into one destination share one socket and one round-trip
+pipeline.  The same mechanism implements ``call_async`` natively:
+submission writes the frame and parks a
+:class:`~repro.net.transport.CallFuture` that the reactor resolves, so
+one caller can scatter N requests (to one node or to N nodes) and
+overlap every round trip without extra threads.  ``CallFuture.cancel()``
+and deadline expiry both *abandon* an in-flight exchange the same way a
+timed-out waiter does: the pending reply slot is released, the late
+reply is dropped, and other waiters sharing the connection are
+untouched.  A request's deadline also caps every reply wait (io timeout
+or less) and is enforced server-side: a frame whose deadline expired in
+the worker queue is dropped at dequeue.  With ``auto_batch`` on (the
+default), calls that queue up behind an in-flight exchange coalesce into
+one AUTO_BATCH frame; every build decodes AUTO_BATCH, so the switch is
+sender-side only.
+
+**Data plane.**  All sockets — client channels, server-accepted
+connections, and listeners — are owned by a shared
 :class:`~repro.net.reactor.Reactor`: a small pool of ``selectors`` event
 loops (one by default, ``reactor_threads=`` scales it) doing
 non-blocking reads through per-connection receive state machines and
 coalescing queued writes into large sends
 (``coalesce_max_bytes=``/``coalesce_max_delay_ms=`` shape the batching;
-see the reactor module docstring).  This replaces the per-connection
-reader/serve threads of earlier PRs: parked callers and thread handoffs
-no longer scale with connection count, and a burst of small frames
-rides one syscall.  Only the deliberately slow ``per-call`` mode still
-dials blocking sockets — it exists to measure what the reactor buys.
+see the reactor module docstring).
 
-Handler execution never runs on a reactor loop: frames are dispatched
-to a bounded worker pool, and *bulk* kinds (streamed migration:
-OBJECT_TRANSFER and the PREPARE/CHUNK/COMMIT/ABORT family) go to a
-separate background pool so staging writes and marshalled-state applies
-cannot queue behind — or starve — latency-sensitive calls.  When every
-resident worker is busy a submission runs on a temporary overflow
-thread, so a nested call made by a blocked handler (moves trigger
-OBJECT_TRANSFER, finds walk forwarding chains) can always be dispatched
-and the pool cannot deadlock on its own queue.
+Handler execution never runs on a reactor loop (apart from handlers
+declared ``inline_safe``): frames are dispatched to a bounded worker
+pool, and *bulk* kinds (streamed migration: OBJECT_TRANSFER and the
+PREPARE/CHUNK/COMMIT/ABORT family) go to a separate background pool so
+staging writes and marshalled-state applies cannot queue behind — or
+starve — latency-sensitive calls.  When every resident worker is busy a
+submission runs on a temporary overflow thread, so a nested call made by
+a blocked handler (moves trigger OBJECT_TRANSFER, finds walk forwarding
+chains) can always be dispatched and the pool cannot deadlock on its own
+queue.
 
 TCP provides reliable, ordered delivery, so no loss model applies here —
 loss/retry behaviour is exercised on the simulated network.  An
@@ -83,8 +87,8 @@ to the caller instead).  A handler that dies with a control-flow exception
 (``KeyboardInterrupt``/``SystemExit``) answers its caller with an uncached
 :class:`~repro.errors.TransportError` — the interrupt itself cannot cross
 the wire, and a retransmission executes afresh.  At-most-once execution holds
-across reconnects: a stale pooled connection is retried only when the
-frame provably never left this side; once a request is on the wire, a
+across reconnects: a stale connection is retried only when the frame
+provably never left this side; once a request is on the wire, a
 connection failure surfaces as :class:`NodeUnreachableError` rather than
 risking re-execution against a replaced node's fresh reply cache.  The
 clock is real time by default.
@@ -118,8 +122,6 @@ from repro.net.message import (
     MessageKind,
     ReplyPayload,
     build_message,
-    from_wire,
-    to_wire,
 )
 from repro.net.reactor import (
     Connection,
@@ -143,25 +145,14 @@ _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB: a generous bound on one message
 
 # The frame header is one 32-bit word: the top 3 bits carry the codec id
 # (see repro.net.codec), the low 29 bits the on-wire body length.  Raw
-# frames use codec id 0, so an uncompressed frame is byte-for-byte the
-# pre-codec framing — negotiation only ever *adds* compression toward
-# peers that advertised they accept it.
+# frames use codec id 0; compression is used only toward peers whose
+# HELLO advertised the codec.
 _CODEC_SHIFT = 29
 _LENGTH_MASK = (1 << _CODEC_SHIFT) - 1
 
-#: Valid ``TcpNetwork(mode=...)`` values, slowest to fastest.
-MODES = ("per-call", "pooled", "pipelined")
-
-#: ``Hello.settings`` key under which auto-batch capability is advertised.
-_AUTOBATCH_SETTING = "autobatch"
-#: Capability token: a peer advertising exactly this value accepts
-#: AUTO_BATCH envelopes (and answers them with aggregated replies).
-_AUTOBATCH_TOKEN = "ab1"
-
 #: ``Hello.settings`` key advertising a server's same-host Unix-domain
-#: listener: ``(advertise_host, port, uds_name)``.  Receivers that do not
-#: know the key ignore it (the HELLO extension contract), so mixed-version
-#: clusters interop over plain TCP.
+#: listener: ``(advertise_host, port, uds_name)``.  A peer that cannot
+#: use it (another host, no ``AF_UNIX``) simply dials TCP.
 _UDS_SETTING = "uds"
 
 #: Whether this platform offers Unix-domain stream sockets at all.  The
@@ -188,19 +179,6 @@ _INLINE_DEMOTE_STRIKES = 8
 #: the very batches it guards), yet far below any reply-wait timeout a
 #: caller could notice when the clock really is dead.
 _BATCH_KICK_GRACE_S = 0.02
-
-
-def _hello_accepts_autobatch(hello: Hello | None, protocol_version: int) -> bool:
-    """True when ``hello`` negotiated transparent invoke coalescing.
-
-    Mirrors :func:`wirecodec.hello_accepts_binary`: an exact version match
-    plus the capability token.  Legacy peers (no HELLO, older builds whose
-    settings lack the key, ``auto_batch=False`` builds) simply never see
-    an AUTO_BATCH frame — per-call framing is byte-identical to before.
-    """
-    if hello is None or hello.version != protocol_version:
-        return False
-    return hello.settings.get(_AUTOBATCH_SETTING) == _AUTOBATCH_TOKEN
 
 
 def _fail_sink(sink, error: Exception) -> None:
@@ -291,72 +269,43 @@ def _transmittable_error_payload(payload: ReplyPayload) -> ReplyPayload:
         )
 
 
-def _encode_frame(message: Message, codec_for=None, flat: bool = False,
-                  binary: bool = False) -> "bytes | list[bytes | memoryview]":
-    """One wire-ready frame, compressing when negotiated.
+def _encode_frame(message: Message,
+                  codec_for=None) -> "bytes | list[bytes | memoryview]":
+    """One wire-ready binary-envelope frame, compressing when negotiated.
 
     ``codec_for`` maps the serialized size to a codec id (``None`` keeps
     every frame raw).  A frame that :func:`codec.compress_frame`'s
     sampled probe judges incompressible, or that the codec fails to
     shrink, is sent raw — the header is self-describing, so the receiver
-    never needs to know what the sender attempted.
-
-    Three envelope encodings, fastest first:
-
-    * ``binary`` — the schema-compiled codec
-      (:mod:`repro.net.wirecodec`), used only toward peers whose HELLO
-      advertised the *identical* wire-format digest.  Large blob fields
-      come back as a buffer *list* (header + head + zero-copy segments)
-      that the reactor writes with one gather syscall; small frames
-      collapse to contiguous bytes.
-    * ``flat`` — the flattened pickled-tuple marshal, toward confirmed
-      same-version peers that did not negotiate the binary dialect.
-    * neither — the legacy whole-message pickle.
-
-    Decoding is self-describing in every case: a binary envelope starts
-    with :data:`wirecodec.MAGIC`, which no pickle stream can.
+    never needs to know what the sender attempted.  Large blob fields
+    come back from :func:`wirecodec.encode_envelope` as a buffer *list*
+    (head + zero-copy segments) that the reactor writes with one gather
+    syscall; small frames are one contiguous ``bytes``.
     """
-    if binary:
-        try:
-            parts = wirecodec.encode_envelope(message)
-        except Exception as exc:
-            raise MarshalError(
-                f"cannot encode {message.describe()}: {exc}") from exc
-        if len(parts) == 1:
-            blob = parts[0]
-        else:
-            nbytes = sum(len(part) for part in parts)
-            if nbytes > _MAX_FRAME:
-                raise MarshalError(f"message too large: {nbytes} bytes")
-            ident = codec.RAW if codec_for is None else codec_for(nbytes)
-            if ident != codec.RAW:
-                body = codec.compress_frame(ident, parts, nbytes)
-                if body is not None:  # compression beats zero-copy
-                    return _LENGTH_PREFIX.pack(
-                        len(body) | (ident << _CODEC_SHIFT)) + body
-            head = _LENGTH_PREFIX.pack(nbytes)
-            first = parts[0]
-            if isinstance(first, bytes):
-                return [head + first, *parts[1:]]
-            return [head, *parts]
+    try:
+        parts = wirecodec.encode_envelope(message)
+    except Exception as exc:
+        raise MarshalError(
+            f"cannot encode {message.describe()}: {exc}") from exc
+    if len(parts) == 1:
+        nbytes = len(parts[0])
     else:
-        try:
-            blob = (to_wire(message) if flat else
-                    pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception as exc:
-            raise MarshalError(
-                f"cannot pickle {message.describe()}: {exc}") from exc
-    if len(blob) > _MAX_FRAME:
-        raise MarshalError(f"message too large: {len(blob)} bytes")
-    ident = codec.RAW if codec_for is None else codec_for(len(blob))
-    body = blob
+        nbytes = sum(len(part) for part in parts)
+    if nbytes > _MAX_FRAME:
+        raise MarshalError(f"message too large: {nbytes} bytes")
+    ident = codec.RAW if codec_for is None else codec_for(nbytes)
     if ident != codec.RAW:
-        compressed = codec.compress_frame(ident, (blob,), len(blob))
-        if compressed is None:  # incompressible payload: keep raw
-            ident = codec.RAW
-        else:
-            body = compressed
-    return _LENGTH_PREFIX.pack(len(body) | (ident << _CODEC_SHIFT)) + body
+        body = codec.compress_frame(ident, parts, nbytes)
+        if body is not None:  # compression beats raw (and zero-copy)
+            return _LENGTH_PREFIX.pack(
+                len(body) | (ident << _CODEC_SHIFT)) + body
+    head = _LENGTH_PREFIX.pack(nbytes)
+    first = parts[0]
+    if len(parts) == 1:
+        return head + first
+    if isinstance(first, bytes):
+        return [head + first, *parts[1:]]
+    return [head, *parts]
 
 
 def _frame_nbytes(wire: "bytes | list[bytes | memoryview]") -> int:
@@ -366,35 +315,20 @@ def _frame_nbytes(wire: "bytes | list[bytes | memoryview]") -> int:
     return sum(len(part) for part in wire)
 
 
-def _send_frame(sock: socket.socket, message: Message,
-                codec_for=None) -> None:
-    """Write one frame on a blocking socket (the per-call path)."""
-    sock.sendall(_encode_frame(message, codec_for))
+def _decode_frame(ident: int, body: bytes) -> Message:
+    """Decompress + decode one post-HELLO frame: a binary envelope only.
 
-
-def _decode_frame(ident: int, body: bytes) -> object:
-    """Decompress + unmarshal one reactor-delivered frame body.
-
-    Routing is one byte: a binary envelope opens with
-    :data:`wirecodec.MAGIC` (0xB1), a pickle stream with 0x80 — so the
-    receiver needs no negotiation state to decode either dialect.
+    Anything else — a pickle stream, a second HELLO — is a protocol
+    violation; the :class:`MarshalError` makes the reactor close that one
+    connection without unpickling a byte of it.
     """
     blob = codec.decode(ident, body, _MAX_FRAME)
-    if blob and blob[0] == wirecodec.MAGIC:
-        return wirecodec.decode_envelope(blob)
-    return from_wire(blob)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed connection mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    if not blob or blob[0] != wirecodec.MAGIC:
+        raise MarshalError(
+            "expected a binary envelope, got a frame opening with "
+            f"{bytes(blob[:1])!r}"
+        )
+    return wirecodec.decode_envelope(blob)
 
 
 def _encode_hello(hello: Hello) -> bytes:
@@ -403,84 +337,57 @@ def _encode_hello(hello: Hello) -> bytes:
     return _LENGTH_PREFIX.pack(len(blob)) + blob
 
 
-def _send_hello(sock: socket.socket, hello: Hello) -> None:
-    """Write one HELLO frame on a blocking socket (client handshake)."""
-    sock.sendall(_encode_hello(hello))
+def _decode_hello(ident: int, body: bytes) -> Hello:
+    """Decode a connection's first frame, which must be a HELLO.
 
-
-def _recv_any(sock: socket.socket) -> tuple[object, int]:
-    """Read one frame of any type; returns ``(object, wire_bytes)``.
-
-    ``wire_bytes`` is the on-wire size (header + possibly-compressed
-    body) — what a bandwidth-emulating link charges for.  Decoding is
-    self-describing from the header's codec bits: a receiver decodes any
-    codec it supports regardless of what it advertised, and rejects
-    unknown ids (or frames that inflate past the frame bound) with
-    :class:`MarshalError`.  The frame may be a :class:`Message` envelope
-    or a wire-level :class:`Hello`; callers route on the type.
+    This is the one frame per connection that is unpickled.  A binary
+    envelope, an undecodable blob, or a pickle of anything but a
+    well-formed :class:`Hello` raises :class:`MarshalError`.
     """
-    header = _recv_exact(sock, _LENGTH_PREFIX.size)
-    (word,) = _LENGTH_PREFIX.unpack(header)
-    ident = word >> _CODEC_SHIFT
+    blob = codec.decode(ident, body, _MAX_FRAME)
+    if blob and blob[0] == wirecodec.MAGIC:
+        raise MarshalError("expected a HELLO, got a message envelope")
+    try:
+        hello = pickle.loads(blob)
+    except Exception as exc:
+        raise MarshalError(f"undecodable HELLO frame: {exc}") from exc
+    if not (isinstance(hello, Hello) and isinstance(hello.node_id, str)
+            and isinstance(hello.codecs, (tuple, list))
+            and isinstance(hello.settings, dict)):
+        raise MarshalError(f"expected a HELLO, got {type(hello).__name__}")
+    return hello
+
+
+def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
+    """Read exactly ``n`` bytes before the monotonic ``deadline``."""
+    chunks = []
+    remaining = n
+    while remaining > 0:
+        timeout = deadline - time.monotonic()
+        if timeout <= 0:
+            raise TimeoutError("timed out")
+        sock.settimeout(timeout)
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise ConnectionError("peer closed connection mid-frame")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
+def _recv_hello(sock: socket.socket, deadline: float) -> Hello:
+    """Read the server's HELLO off a freshly dialled blocking socket."""
+    (word,) = _LENGTH_PREFIX.unpack(
+        _recv_exact(sock, _LENGTH_PREFIX.size, deadline))
     length = word & _LENGTH_MASK
     if length > _MAX_FRAME:
         raise MarshalError(f"incoming frame too large: {length} bytes")
-    body = _recv_exact(sock, length)
-    blob = codec.decode(ident, body, _MAX_FRAME)
-    if blob and blob[0] == wirecodec.MAGIC:
-        return wirecodec.decode_envelope(blob), _LENGTH_PREFIX.size + length
-    return from_wire(blob), _LENGTH_PREFIX.size + length
-
-
-def _recv_frame(sock: socket.socket) -> tuple[Message, int]:
-    """Read one frame that must be a :class:`Message` envelope."""
-    message, nbytes = _recv_any(sock)
-    if not isinstance(message, Message):
-        raise MarshalError(f"expected a Message frame, got {type(message).__name__}")
-    return message, nbytes
+    return _decode_hello(word >> _CODEC_SHIFT,
+                         _recv_exact(sock, length, deadline))
 
 
 class _ChannelClosedError(ConnectionError):
     """The channel died before this frame was written (safe to retry)."""
-
-
-class _HandshakeTimeout(Exception):
-    """The HELLO wait expired; the socket's read stream may hold a
-    half-consumed frame and cannot be trusted for framing anymore."""
-
-
-class _Waiter:
-    """One caller parked on an in-flight pipelined request."""
-
-    __slots__ = ("_event", "_reply", "_error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._reply: Message | None = None
-        self._error: Exception | None = None
-
-    def resolve(self, reply: Message) -> None:
-        self._reply = reply
-        self._event.set()
-
-    def fail(self, error: Exception) -> None:
-        self._error = error
-        self._event.set()
-
-    def wait(self, timeout_s: float, message: Message) -> Message:
-        if not self._event.wait(timeout_s):
-            raise CallTimeoutError(
-                f"{message.describe()}: no reply within {timeout_s}s"
-            )
-        if self._error is not None:
-            # The frame was already on the wire, so the handler may have
-            # executed; surfacing unreachability (instead of retrying into
-            # a replaced node's fresh reply cache) preserves at-most-once.
-            raise NodeUnreachableError(
-                message.dst, f"connection lost awaiting reply: {self._error}"
-            ) from self._error
-        assert self._reply is not None
-        return self._reply
 
 
 #: Stripe count for a channel's pending-waiter table.  Eight uncontended
@@ -554,52 +461,26 @@ class _Channel:
     The socket lives on the shared reactor: submission encodes the frame
     and enqueues it on the connection's write queue (no send lock, no
     blocking), and the reactor's frame callback demultiplexes reply
-    frames to parked callers by ``reply_to_id`` — the reader thread of
-    earlier PRs is gone.  The waiter table is striped by message-id hash
-    so concurrent pipelined callers stop serializing on one mutex.
-    ``serialize=True`` ("pooled" mode) additionally holds a request lock
-    across each whole exchange, keeping the connection reused but never
-    pipelined.
+    frames to parked callers by ``reply_to_id``.  The waiter table is
+    striped by message-id hash so concurrent pipelined callers do not
+    serialize on one mutex.  The HELLO exchange has already happened
+    when a channel is built.
     """
 
     def __init__(self, dst: str, sock: socket.socket, reactor: Reactor,
-                 serialize: bool,
-                 codec_for=None,
-                 negotiated: tuple[str, ...] | None = None,
-                 peer_hello: Hello | None = None,
-                 protocol_version: int = PROTOCOL_VERSION,
-                 binary_enabled: bool = True) -> None:
+                 negotiated_codecs: tuple[str, ...], codec_for=None) -> None:
         self.dst = dst
+        #: The frame codecs the peer's HELLO said it decodes.
+        self.negotiated_codecs = negotiated_codecs
         self._codec_for = codec_for
-        #: What the peer's HELLO advertised (``None`` = no HELLO yet /
-        #: legacy peer — raw only).  Set before the reactor adopts the
-        #: socket (the frame callback may adopt a HELLO that straggles in
-        #: late, so a post-adoption assignment could clobber that).
-        self.negotiated_codecs = negotiated
-        self.peer_hello = peer_hello
-        self._protocol_version = protocol_version
-        #: Binary-envelope negotiation, precomputed once per HELLO so the
-        #: per-frame send path reads one attribute instead of probing the
-        #: peer's settings dict on every encode.
-        self._binary_enabled = binary_enabled
-        self.send_binary = binary_enabled and wirecodec.hello_accepts_binary(
-            peer_hello, protocol_version
-        )
-        #: Whether the peer's HELLO advertised AUTO_BATCH capability —
-        #: gates every ``submit_auto`` so legacy peers never see a frame
-        #: kind they cannot decode.
-        self.peer_autobatch = _hello_accepts_autobatch(
-            peer_hello, protocol_version
-        )
         #: The transport attaches a :class:`_AutoBatcher` right after
-        #: construction on pipelined channels with auto-batching enabled.
+        #: construction when auto-batching is enabled.
         self._batcher: "_AutoBatcher | None" = None
         #: batch msg_id -> its sub-call msg_ids, so a *whole-batch* error
         #: reply (server-side control-flow abort) can fail every sub
         #: sink.  Entries are removed when the aggregated reply arrives.
         self._batch_lock = threading.Lock()
         self._batch_subs: dict[str, tuple[str, ...]] = {}
-        self._request_lock = threading.Lock() if serialize else None
         self._shards = tuple(_WaiterShard() for _ in range(_WAITER_SHARDS))
         self._closed = False
         self._conn: Connection = reactor.add_connection(
@@ -609,35 +490,15 @@ class _Channel:
     def _shard(self, msg_id: str) -> _WaiterShard:
         return self._shards[hash(msg_id) % _WAITER_SHARDS]
 
-    def _flat_wire(self) -> bool:
-        """Flattened envelopes only toward a confirmed same-version peer."""
-        hello = self.peer_hello
-        return hello is not None and hello.version == self._protocol_version
-
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def request(self, message: Message, timeout_s: float) -> Message:
-        if self._request_lock is not None:
-            with self._request_lock:
-                return self._request(message, timeout_s)
-        return self._request(message, timeout_s)
-
-    def _request(self, message: Message, timeout_s: float) -> Message:
-        waiter = _Waiter()
-        self.submit(message, waiter)
-        try:
-            return waiter.wait(timeout_s, message)
-        finally:
-            self._discard_waiter(message.msg_id, waiter)
-
     def submit(self, message: Message, sink) -> None:
         """Park ``sink`` for the reply and enqueue the frame; never waits.
 
-        ``sink`` is anything with ``resolve(reply)`` / ``fail(error)`` — a
-        :class:`_Waiter` for the blocking path, a pipelined
-        :class:`~repro.net.transport.CallFuture` for the asynchronous one.
+        ``sink`` is anything with ``resolve(reply)`` / ``fail(error)`` —
+        in practice a :class:`_PipelinedCallFuture`.
         ``resolve`` runs on the reactor loop, ``fail`` on whichever thread
         closes the channel; neither may block.
 
@@ -646,8 +507,7 @@ class _Channel:
         :class:`_ChannelClosedError` means the frame provably never
         reached the write queue (safe to retry on a fresh channel).
         """
-        wire = _encode_frame(message, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(message, self._codec_for)
         shard = self._shard(message.msg_id)
         if not shard.park(message.msg_id, sink):
             raise _ChannelClosedError(f"channel to {self.dst!r} is closed")
@@ -663,13 +523,12 @@ class _Channel:
     def submit_auto(self, message: Message, sink) -> None:
         """:meth:`submit` through the transparent auto-batcher.
 
-        Routes to the coalescing layer only when the channel has one, the
-        peer negotiated the capability, and the kind is batchable; every
-        other frame takes the plain path unchanged.
+        Routes to the coalescing layer only when the channel has one and
+        the kind is batchable; every other frame takes the plain path
+        unchanged.
         """
         batcher = self._batcher
-        if (batcher is None or not self.peer_autobatch
-                or message.kind in _UNBATCHABLE_KINDS):
+        if batcher is None or message.kind in _UNBATCHABLE_KINDS:
             self.submit(message, sink)
             return
         batcher.submit(message, sink)
@@ -688,8 +547,7 @@ class _Channel:
         batch = build_message(
             MessageKind.AUTO_BATCH, subs[0].src, subs[0].dst, subs
         )
-        wire = _encode_frame(batch, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(batch, self._codec_for)
         parked: list[tuple[Message, object]] = []
         for message, sink in items:
             if not self._shard(message.msg_id).park(message.msg_id, sink):
@@ -717,8 +575,7 @@ class _Channel:
         self._shard(msg_id).discard(msg_id, waiter)
 
     def send_oneway(self, message: Message) -> None:
-        wire = _encode_frame(message, self._codec_for, flat=self._flat_wire(),
-                             binary=self.send_binary)
+        wire = _encode_frame(message, self._codec_for)
         try:
             self._conn.send(wire)
         except ConnectionError as exc:
@@ -734,33 +591,9 @@ class _Channel:
     # -- reactor callbacks (loop thread; must not block) ----------------------
 
     def _on_frame(self, ident: int, body: bytes, wire_bytes: int) -> None:
-        # A decode/unpickle failure propagates: the reactor tears the
-        # connection down with it, and _on_closed fails every waiter —
-        # the old reader loop's close(exc) path, without the thread.
+        # A decode failure propagates: the reactor tears the connection
+        # down with it, and _on_closed fails every waiter.
         reply = _decode_frame(ident, body)
-        if isinstance(reply, Hello):
-            # A HELLO that outlived the handshake window (a slow
-            # server): adopt the advertisement late — frames written
-            # so far went raw, which is always decodable.
-            self.peer_hello = reply
-            self.negotiated_codecs = (
-                tuple(reply.codecs)
-                if reply.version == self._protocol_version
-                else ()
-            )
-            self.send_binary = (
-                self._binary_enabled
-                and wirecodec.hello_accepts_binary(
-                    reply, self._protocol_version)
-            )
-            self.peer_autobatch = _hello_accepts_autobatch(
-                reply, self._protocol_version
-            )
-            return
-        if not isinstance(reply, Message):
-            raise MarshalError(
-                f"expected a Message frame, got {type(reply).__name__}"
-            )
         if reply.in_reply_to is MessageKind.AUTO_BATCH:
             self._on_batch_reply(reply)
         else:
@@ -1133,9 +966,9 @@ class _AutoBatcher:
 
 
 class _PipelinedCallFuture(CallFuture):
-    """A call future resolved by a pipelined channel's reader thread.
+    """A call future resolved by a pipelined channel's reactor callback.
 
-    Doubles as the channel's parked sink: the reader thread calls
+    Doubles as the channel's parked sink: the reactor loop calls
     :meth:`resolve` with the matched reply frame, channel teardown calls
     :meth:`fail`.  ``result()``/``exception()`` default their timeout to
     the transport's io timeout *measured from submission* — a sweep that
@@ -1143,7 +976,7 @@ class _PipelinedCallFuture(CallFuture):
     total, not one per hung host, because every future's clock has been
     running since its frame was sent.  (An explicit ``timeout_s`` stays
     relative to the ``result()`` call.)  An expired wait *abandons* the
-    exchange exactly as the blocking path does — the pending slot is
+    exchange — the pending slot is
     released (a late reply is dropped by the reader) and the future fails
     permanently with :class:`~repro.errors.CallTimeoutError`.
     """
@@ -1346,34 +1179,20 @@ class _WorkerPool:
             self._wakeup.notify_all()
 
 
-class _PeerState:
-    """What one inbound connection's HELLO taught us about its peer."""
-
-    __slots__ = ("codecs", "hello", "binary")
-
-    def __init__(self) -> None:
-        #: ``None`` until (unless) the peer HELLOs — reply compression
-        #: then falls back to the in-process advertisement registry,
-        #: which is the pre-handshake behaviour.
-        self.codecs: tuple[str, ...] | None = None
-        self.hello: Hello | None = None
-        #: True only when the peer's HELLO advertised this build's exact
-        #: binary wire-format digest — replies then use the compiled
-        #: codec; everyone else keeps the pickled envelope.
-        self.binary = False
-
-
 class _ServerConn:
     """Reactor-side state for one accepted server connection."""
 
-    __slots__ = ("conn", "peer", "first", "same_host")
+    __slots__ = ("conn", "hello", "refused", "codec_for", "same_host")
 
     def __init__(self) -> None:
         self.conn: Connection | None = None
-        self.peer = _PeerState()
-        #: True until the first frame arrives — only a connection-opening
-        #: HELLO is answered.
-        self.first = True
+        #: The peer's HELLO; ``None`` until the first frame arrives.
+        self.hello: Hello | None = None
+        #: The peer's HELLO named another version or wire digest: the
+        #: connection is closing and nothing it sends is dispatched.
+        self.refused = False
+        #: Reply compression per the peer's HELLO codec advertisement.
+        self.codec_for = None
         #: The connection arrived over the Unix-domain listener, so the
         #: peer is provably on this machine: replies skip compression
         #: (it exists to save network bandwidth, which a same-host
@@ -1394,12 +1213,12 @@ class _NodeServer:
     Replies are enqueued on the connection's coalescing write queue; no
     per-connection thread or write lock exists anymore.
 
-    A connection's first frame may be a wire-level :class:`Hello`; the
-    server then records the peer's codec advertisement for that
-    connection's replies and answers with this node's own HELLO before
-    any request is dispatched.  A connection whose first frame is a
-    plain ``Message`` belongs to a legacy (or ``per-call``) client and
-    is served exactly as before.
+    A connection's first frame must be the client's :class:`Hello`; the
+    server answers with its own, records the peer's codec advertisement
+    for that connection's replies, and only then dispatches requests.
+    A HELLO naming another protocol version or wire digest gets this
+    server's HELLO back (so the client can report the mismatch) and a
+    graceful close; nothing that connection sends is dispatched.
     """
 
     def __init__(self, node_id: str, handler: MessageHandler, trace: MessageTrace,
@@ -1407,15 +1226,9 @@ class _NodeServer:
                  reactor: Reactor,
                  latency_s: float = 0.0,
                  bytes_per_s: float | None = None,
-                 codec_for_peer=None,
                  bind_host: str = "127.0.0.1",
                  port: int = 0,
-                 handshake: bool = True,
-                 hello_codecs=None,
                  codec_for_advertised=None,
-                 protocol_version: int = PROTOCOL_VERSION,
-                 wire_formats: tuple[str, ...] = (),
-                 auto_batch: bool = True,
                  inline_dispatch: bool = True,
                  inline_budget_s: float = 0.001,
                  call_metrics: "_CallPathMetrics | None" = None,
@@ -1431,14 +1244,7 @@ class _NodeServer:
         self._reactor = reactor
         self._latency_s = latency_s
         self._bytes_per_s = bytes_per_s
-        self._codec_for_peer = codec_for_peer
-        self._handshake = handshake
-        self._hello_codecs = hello_codecs
         self._codec_for_advertised = codec_for_advertised
-        self._protocol_version = protocol_version
-        self._wire_formats = wire_formats
-        self._binary_enabled = wirecodec.WIRE_FORMAT in wire_formats
-        self._auto_batch = auto_batch
         #: Inline dispatch runs INLINE_KINDS handlers straight on the
         #: reactor loop thread — only when the handler itself declared
         #: those kinds non-blocking (:func:`~repro.net.message.inline_safe`)
@@ -1513,57 +1319,18 @@ class _NodeServer:
     def _on_frame(self, state: _ServerConn, ident: int, body: bytes,
                   wire_bytes: int) -> None:
         # Loop thread: decode, trace, route — never execute handlers.
-        # A decode failure propagates and the reactor closes the
-        # connection, exactly as the old serve loop's bail-out did.
+        # A decode failure propagates and the reactor closes this one
+        # connection.
         # (Link *bandwidth* is already charged: the reactor defers frame
         # delivery by wire_bytes/rate, serializing per connection like a
         # physical link; dispatch *latency* stays on the workers —
         # propagation delay and transmission time are independent.)
-        frame = _decode_frame(ident, body)
-        if isinstance(frame, Hello):
-            # Wire-level: never traced, never dispatched.  Answer only a
-            # connection-opening HELLO (and only when this server
-            # handshakes at all — ``handshake=False`` models a
-            # pre-handshake build that ignores them).
-            if state.first and self._handshake:
-                state.peer.hello = frame
-                state.peer.codecs = (
-                    tuple(frame.codecs)
-                    if frame.version == self._protocol_version
-                    else ()  # mismatched dialect: degrade to raw
-                )
-                state.peer.binary = (
-                    self._binary_enabled
-                    and wirecodec.hello_accepts_binary(
-                        frame, self._protocol_version)
-                )
-                settings: dict = {wirecodec.WIRE_SETTING: self._wire_formats}
-                if self._auto_batch:
-                    settings[_AUTOBATCH_SETTING] = _AUTOBATCH_TOKEN
-                if self.uds_name:
-                    # Same-host facet: peers whose advertised host
-                    # matches dial the Unix socket instead of TCP.
-                    settings[_UDS_SETTING] = (
-                        self._advertise_host, self.port, self.uds_name
-                    )
-                reply = Hello(
-                    version=self._protocol_version,
-                    node_id=self.node_id,
-                    codecs=(self._hello_codecs()
-                            if self._hello_codecs is not None else ()),
-                    settings=settings,
-                )
-                try:
-                    state.conn.send(_encode_hello(reply))
-                except ConnectionError:
-                    pass  # racing teardown; the close callback cleans up
-            state.first = False
+        if state.hello is None:
+            self._on_hello(state, _decode_hello(ident, body))
             return
-        if not isinstance(frame, Message):
-            raise MarshalError(  # protocol violation: close the connection
-                f"expected a Message frame, got {type(frame).__name__}"
-            )
-        state.first = False
+        if state.refused:
+            return  # closing after a mismatched HELLO: dispatch nothing
+        frame = _decode_frame(ident, body)
         # The reactor measured the frame; thread that through so the
         # trace never pays a second serialization to size the payload.
         self._trace.record(frame, self._clock.now_ms(), nbytes=wire_bytes)
@@ -1577,6 +1344,41 @@ class _NodeServer:
             return
         pool = self._bulk_pool if frame.kind in BULK_KINDS else self._pool
         pool.submit(self._dispatch, state, frame)
+
+    def _on_hello(self, state: _ServerConn, hello: Hello) -> None:
+        """Answer a connection-opening HELLO (loop thread).
+
+        The answer goes out even to a mismatched peer — a foreign build
+        learns from it why it is refused — and the connection is then
+        closed gracefully, so the answer is flushed before the socket
+        goes.
+        """
+        state.hello = hello
+        settings: dict = {wirecodec.WIRE_SETTING: (wirecodec.WIRE_FORMAT,)}
+        if self.uds_name:
+            # Same-host facet: peers whose advertised host matches dial
+            # the Unix socket instead of TCP.
+            settings[_UDS_SETTING] = (
+                self._advertise_host, self.port, self.uds_name
+            )
+        reply = Hello(version=PROTOCOL_VERSION, node_id=self.node_id,
+                      codecs=codec.available_codecs(), settings=settings)
+        try:
+            state.conn.send(_encode_hello(reply))
+        except ConnectionError:
+            return  # racing teardown; the close callback cleans up
+        try:
+            wirecodec.check_hello(hello)
+        except ConfigurationError:
+            state.refused = True
+            state.conn.close(graceful=True)
+            return
+        advertised = tuple(hello.codecs)
+        if not state.same_host and self._codec_for_advertised is not None:
+            # Same-machine connections stay raw: bandwidth is free there,
+            # CPU is not.
+            state.codec_for = lambda nbytes: self._codec_for_advertised(
+                advertised, nbytes)
 
     def _inline_eligible(self, frame: Message) -> bool:
         """Only declared-inline kinds — or an auto-batch solely of them."""
@@ -1694,25 +1496,8 @@ class _NodeServer:
     def _send_reply(self, state: _ServerConn, message: Message,
                     payload: ReplyPayload) -> None:
         reply = message.reply(_transmittable_error_payload(payload))
-        peer_codecs = state.peer.codecs
-        codec_for = None
-        if peer_codecs is not None and self._codec_for_advertised is not None:
-            # The connection's HELLO told us what its client decodes:
-            # compress replies per that wire-negotiated advertisement.
-            codec_for = lambda nbytes: self._codec_for_advertised(
-                peer_codecs, nbytes)
-        elif self._codec_for_peer is not None:
-            # Legacy (no-HELLO) connection: fall back to the in-process
-            # advertisement registry keyed by the requesting node.
-            codec_for = lambda nbytes: self._codec_for_peer(message.src, nbytes)
-        if state.same_host:
-            # Same-machine connection: bandwidth is free, CPU is not.
-            codec_for = None
-        hello = state.peer.hello
-        flat = hello is not None and hello.version == self._protocol_version
         try:
-            wire = _encode_frame(reply, codec_for, flat=flat,
-                                 binary=state.peer.binary)
+            wire = _encode_frame(reply, state.codec_for)
         except MarshalError:
             self._trace.record(reply, self._clock.now_ms())
             raise
@@ -1727,17 +1512,16 @@ class _NodeServer:
         """Sever accepted connections whose HELLO identified ``peer``.
 
         Eviction-time hygiene: a forgotten peer's half-open inbound
-        connections — and the per-connection codec/binary negotiation
-        state riding them — must not survive into its re-join, which
-        starts from a fresh handshake.  Connections that never HELLOed
-        cannot be attributed and are left alone (they carry no per-peer
-        state to go stale).
+        connections — and the per-connection codec negotiation state
+        riding them — must not survive into its re-join, which
+        starts from a fresh handshake.  Connections whose HELLO has not
+        arrived yet cannot be attributed and are left alone (they carry
+        no per-peer state to go stale).
         """
         with self._conn_lock:
             stale = [
                 state for state in self._conns
-                if state.peer.hello is not None
-                and state.peer.hello.node_id == peer
+                if state.hello is not None and state.hello.node_id == peer
             ]
             for state in stale:
                 self._conns.discard(state)
@@ -1772,7 +1556,7 @@ class TcpNetwork(Transport):
     def __init__(self, clock: Clock | None = None, trace: MessageTrace | None = None,
                  connect_timeout_s: float = 5.0, io_timeout_s: float = 30.0,
                  retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 mode: str = "pipelined", server_workers: int = 8,
+                 server_workers: int = 8,
                  latency_ms: float = 0.0,
                  codecs: tuple[str, ...] | None = None,
                  compress_threshold: int = codec.DEFAULT_COMPRESS_THRESHOLD,
@@ -1780,13 +1564,9 @@ class TcpNetwork(Transport):
                  bind: str = "127.0.0.1",
                  advertise_host: str | None = None,
                  ports: dict[str, int] | None = None,
-                 handshake: bool = True,
-                 hello_timeout_s: float = 2.0,
-                 protocol_version: int = PROTOCOL_VERSION,
                  reactor_threads: int = 1,
                  coalesce_max_bytes: int = 64 * 1024,
                  coalesce_max_delay_ms: float = 0.0,
-                 wire_formats: tuple[str, ...] | None = None,
                  auto_batch: bool = True,
                  batch_max_msgs: int = 32,
                  batch_max_bytes: int = 64 * 1024,
@@ -1810,10 +1590,8 @@ class TcpNetwork(Transport):
         (default: every codec this process supports, ``()`` disables
         compression entirely).  A frame is compressed only when it
         reaches ``compress_threshold`` serialized bytes *and* the
-        destination advertises a shared codec — via its connection
-        HELLO, or via :meth:`advertise_codecs` for no-HELLO peers;
-        everything else ships raw, with framing byte-identical to the
-        pre-codec wire format.
+        connection's peer advertised a shared codec in its HELLO;
+        everything else ships raw.
 
         Cross-host knobs: ``bind`` is the interface node listeners bind
         (``"0.0.0.0"`` accepts other machines); ``advertise_host`` is
@@ -1823,14 +1601,11 @@ class TcpNetwork(Transport):
         reachable address in a real multi-host deployment.  ``ports``
         optionally pins ``node_id -> listen port`` (seeds want a fixed,
         firewall-friendly port; the default remains an ephemeral one).
-        ``handshake=False`` disables the HELLO exchange entirely,
-        reproducing the pre-handshake wire behaviour (useful as the
-        legacy peer in mixed-version tests); ``hello_timeout_s`` bounds
-        how long a new connection waits for the server's HELLO before
-        degrading to raw framing.
+        ``connect_timeout_s`` bounds opening a connection: the dial *and*
+        the wait for the server's HELLO.
 
         Data-plane knobs: ``reactor_threads`` sizes the event-loop pool
-        that owns every pooled/pipelined socket (one is right until it
+        that owns every socket (one is right until it
         saturates a core); ``coalesce_max_bytes`` and
         ``coalesce_max_delay_ms`` shape adaptive frame coalescing — a
         connection's queued frames flush when the loop goes idle, the
@@ -1840,21 +1615,13 @@ class TcpNetwork(Transport):
         under load); a small delay (0.2–1 ms) trades that latency for
         bigger batches on throughput-bound workloads.
 
-        ``wire_formats`` is the envelope-dialect advertisement carried in
-        ``Hello.settings["wire"]`` (default: this build's schema-compiled
-        binary format).  Two peers use the binary envelope only when both
-        advertised the *identical* format digest; ``()`` models a
-        legacy/pre-codec build, which keeps the pickled-tuple envelope in
-        both directions — mixed-version clusters degrade per connection,
-        never fail.
-
         Call-path aggregation knobs: ``auto_batch`` coalesces concurrent
         pipelined calls to one peer into single AUTO_BATCH frames
         (adaptive — a lone call is never delayed), capped per frame by
-        ``batch_max_msgs`` / ``batch_max_bytes``; the capability is
-        HELLO-negotiated, so a legacy peer (or ``auto_batch=False``)
-        keeps the one-frame-per-call wire.  ``inline_dispatch`` lets
-        allowlisted cheap kinds (:data:`~repro.net.message.INLINE_KINDS`)
+        ``batch_max_msgs`` / ``batch_max_bytes``.  It is a sender-side
+        switch: every build decodes AUTO_BATCH, and ``auto_batch=False``
+        keeps this side's wire at one frame per call.
+        ``inline_dispatch`` lets allowlisted cheap kinds (:data:`~repro.net.message.INLINE_KINDS`)
         execute directly on the reactor loop thread under a per-call
         budget of ``inline_budget_ms`` — repeated overruns demote the
         fast path back to the worker pool (watch ``inline_overruns`` and
@@ -1869,18 +1636,13 @@ class TcpNetwork(Transport):
         ``local_bypass`` lets RMI stubs on this transport short-circuit
         invokes to servants hosted *in this process* without touching
         the wire at all (see :class:`repro.rmi.bypass.LocalDispatch`);
-        both default on and exist as off-switches for A/B measurement
-        and for modelling builds that predate the fast paths.
+        both default on and exist as off-switches for A/B measurement.
         """
         super().__init__(
             clock=clock if clock is not None else WallClock(),
             trace=trace,
             retry_budget=retry_budget,
         )
-        if mode not in MODES:
-            raise ConfigurationError(
-                f"unknown TCP mode {mode!r} (expected one of {MODES})"
-            )
         if latency_ms < 0:
             raise ConfigurationError(f"latency cannot be negative: {latency_ms}")
         if bandwidth_mbps is not None and bandwidth_mbps <= 0:
@@ -1890,10 +1652,6 @@ class TcpNetwork(Transport):
         if compress_threshold < 0:
             raise ConfigurationError(
                 f"compress threshold cannot be negative: {compress_threshold}"
-            )
-        if hello_timeout_s <= 0:
-            raise ConfigurationError(
-                f"hello timeout must be positive: {hello_timeout_s}"
             )
         if reactor_threads <= 0:
             raise ConfigurationError(
@@ -1919,7 +1677,6 @@ class TcpNetwork(Transport):
             raise ConfigurationError(
                 f"inline budget must be positive: {inline_budget_ms}"
             )
-        self.mode = mode
         self.latency_ms = latency_ms
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
@@ -1928,14 +1685,6 @@ class TcpNetwork(Transport):
             "127.0.0.1" if bind in ("", "0.0.0.0", "::") else bind
         )
         self._ports = dict(ports) if ports else {}
-        self.handshake = handshake
-        self.hello_timeout_s = hello_timeout_s
-        self.protocol_version = protocol_version
-        self.wire_formats = (
-            (wirecodec.WIRE_FORMAT,) if wire_formats is None
-            else tuple(wire_formats)
-        )
-        self._binary_enabled = wirecodec.WIRE_FORMAT in self.wire_formats
         self.auto_batch = auto_batch
         self.batch_max_msgs = batch_max_msgs
         self.batch_max_bytes = batch_max_bytes
@@ -1971,76 +1720,19 @@ class TcpNetwork(Transport):
 
     # -- codec negotiation ----------------------------------------------------
 
-    def advertise_codecs(self, node_id: str, codecs: tuple[str, ...]) -> None:
-        """Override which codecs ``node_id`` accepts from its peers.
-
-        Registration advertises every locally supported codec by default;
-        this models a mixed-codec deployment (a peer built without lz4, or
-        pre-codec entirely via ``()``) — senders then fall back to raw
-        toward that node rather than failing.
-
-        With the HELLO handshake this registry is the *source* of what a
-        local node advertises on the wire (its server's HELLO replies
-        carry it) and the *fallback* for no-HELLO legacy connections;
-        cross-process peers learn it from the handshake, never from this
-        in-process table.  Overrides apply to connections established
-        after the call.
-        """
-        for name in codecs:
-            codec.codec_id(name)
-        self.set_advertised_codecs(node_id, tuple(codecs))
-
-    def peer_codecs(self, node_id: str) -> tuple[str, ...]:
-        """The codecs ``node_id`` advertised (``()`` when unknown → raw).
-
-        This sits on every frame-send path; the advertisement lives in
-        the transport's *sharded* per-peer records, so concurrent
-        channels hash to different stripes instead of serializing behind
-        the node-registry mutex.  A racing (un)registration can at worst
-        yield a stale tuple, which only toggles compression on one
-        frame; the decoder is self-describing, so correctness is
-        unaffected.
-        """
-        advertised = self.advertised_codecs_of(node_id)
-        return advertised if advertised is not None else ()
-
-    def _frame_codec(self, peer: str, nbytes: int) -> int:
-        """The codec id for one ``nbytes`` frame toward ``peer``.
-
-        The registry-advertisement path: used by ``per-call`` sends and
-        by channels whose peer never HELLOed.  Cross-process peers are
-        absent from the registry, so this degrades to raw for them.
-        """
-        return codec.choose_codec(
-            nbytes, self.write_codecs, self.peer_codecs(peer),
-            self.compress_threshold,
-        )
-
     def _codec_for_advertised(self, advertised: tuple[str, ...],
                               nbytes: int) -> int:
-        """The codec id for one frame toward a wire-negotiated peer."""
+        """The codec id for one frame toward a peer that HELLOed
+        ``advertised``."""
         return codec.choose_codec(
             nbytes, self.write_codecs, advertised, self.compress_threshold,
         )
 
-    def _advertised_for(self, node_id: str) -> tuple[str, ...]:
-        """What ``node_id`` tells peers it decodes (its HELLO payload).
-
-        An :meth:`advertise_codecs` override wins (including an explicit
-        empty tuple — a modelled pre-codec build advertises nothing);
-        otherwise everything this process can decode.
-        """
-        advertised = self.advertised_codecs_of(node_id)
-        return advertised if advertised is not None else codec.available_codecs()
-
     def negotiated_codecs(self, src: str, dst: str) -> tuple[str, ...] | None:
         """What the live ``src -> dst`` channel's peer HELLO advertised.
 
-        ``None`` when no pooled channel exists or its peer never HELLOed
-        (legacy raw framing); ``()`` when it HELLOed but nothing is
-        shared (e.g. a protocol-version mismatch).  Diagnostic: lets
-        tests and operators confirm negotiation happened *on the wire*
-        rather than through the in-process registry.
+        ``None`` when no live channel exists.  Diagnostic: lets tests and
+        operators confirm what codec negotiation settled on the wire.
         """
         with self._chan_lock:
             channel = self._channels.get((src, dst))
@@ -2058,15 +1750,9 @@ class TcpNetwork(Transport):
                              self._bulk_pool, self._reactor,
                              latency_s=self.latency_ms / 1000.0,
                              bytes_per_s=self._bytes_per_s,
-                             codec_for_peer=self._frame_codec,
                              bind_host=self.bind,
                              port=self._ports.get(node_id, 0),
-                             handshake=self.handshake,
-                             hello_codecs=lambda: self._advertised_for(node_id),
                              codec_for_advertised=self._codec_for_advertised,
-                             protocol_version=self.protocol_version,
-                             wire_formats=self.wire_formats,
-                             auto_batch=self.auto_batch,
                              inline_dispatch=self.inline_dispatch,
                              inline_budget_s=self.inline_budget_s,
                              call_metrics=self._call_metrics,
@@ -2075,10 +1761,6 @@ class TcpNetwork(Transport):
         with self._lock:
             old = self._servers.get(node_id)
             self._servers[node_id] = server
-        # A (re-)registering node advertises everything it can decode;
-        # an explicit advertise_codecs override survives re-registration
-        # only if re-issued (the node was replaced, not resumed).
-        self.set_advertised_codecs(node_id, codec.available_codecs())
         if old is not None:
             # Replacing a live node: release its port and sever its
             # connections so in-flight calls fail fast instead of hanging.
@@ -2090,8 +1772,8 @@ class TcpNetwork(Transport):
             server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
-        # Prune everything remembered about the departed node — codec
-        # advertisement, link EWMA, address-book entry, live channels —
+        # Prune everything remembered about the departed node — link
+        # EWMA, address-book entry, live channels —
         # so a long-lived transport carries no state for dead peers.
         self.forget_peer(node_id)
 
@@ -2128,14 +1810,14 @@ class TcpNetwork(Transport):
 
     def forget_peer(self, node_id: str) -> None:
         # One atomic pop drops the peer's whole sharded record — address
-        # book, link EWMA, and codec advertisement together.  Channels
-        # are closed with ``rescue=False``: the auto-batcher's queued
-        # frames fail instead of redialing the node just forgotten.
+        # book and link EWMA together.  Channels are closed with
+        # ``rescue=False``: the auto-batcher's queued frames fail instead
+        # of redialing the node just forgotten.
         super().forget_peer(node_id)
         self._drop_channels(node_id, rescue=False)
         # Server side of the same hygiene: sever accepted connections
         # the forgotten peer opened toward locally served nodes, so a
-        # re-join starts from a fresh handshake (no stale codec/binary
+        # re-join starts from a fresh handshake (no stale codec
         # negotiation state).
         with self._lock:
             servers = list(self._servers.values())
@@ -2211,51 +1893,41 @@ class TcpNetwork(Transport):
             return None
         return sock
 
-    def _client_handshake(
-        self, sock: socket.socket, src: str
-    ) -> tuple[tuple[str, ...] | None, Hello | None]:
-        """Open a new connection with HELLO; returns (peer codecs, hello).
+    def _open(self, src: str, dst: str) -> tuple[socket.socket, Hello]:
+        """Dial ``dst`` and exchange HELLOs, all inside ``connect_timeout_s``.
 
-        Sends this side's HELLO and waits up to ``hello_timeout_s`` for
-        the server's.  Degrades, never fails: a peer that answers no
-        HELLO in time (a legacy build) or speaks another protocol
-        version yields a raw-only negotiation — ``(None, None)`` and
-        ``((), hello)`` respectively — and the connection proceeds.
-
-        Raises :class:`_HandshakeTimeout` when the wait expires: the
-        timeout may have struck mid-frame (a slow server's HELLO bytes
-        still in flight), in which case ``_recv_exact`` has already
-        consumed part of the frame and the stream can no longer be
-        trusted for framing — the caller must redial rather than reuse
-        this socket.
+        Nothing but the HELLO has been written when this returns or
+        raises, so every failure here is safe to surface (or retry)
+        without risking a second execution.  A peer that answers no
+        HELLO in time, hangs up, or sends anything but a HELLO is
+        unreachable; one whose HELLO names another protocol version or
+        wire digest raises :class:`ConfigurationError`.
         """
-        settings: dict = {"mode": self.mode, "max_frame": _MAX_FRAME,
-                          wirecodec.WIRE_SETTING: self.wire_formats}
-        if self.auto_batch:
-            settings[_AUTOBATCH_SETTING] = _AUTOBATCH_TOKEN
+        deadline = time.monotonic() + self.connect_timeout_s
+        sock = self._connect(dst)
         hello = Hello(
-            version=self.protocol_version,
+            version=PROTOCOL_VERSION,
             node_id=src,
-            codecs=self._advertised_for(src),
-            settings=settings,
+            codecs=codec.available_codecs(),
+            settings={wirecodec.WIRE_SETTING: (wirecodec.WIRE_FORMAT,)},
         )
         try:
-            _send_hello(sock, hello)
-            sock.settimeout(self.hello_timeout_s)
-            frame, _nbytes = _recv_any(sock)
-        except (TimeoutError, socket.timeout) as exc:
-            raise _HandshakeTimeout from exc
-        except (ConnectionError, MarshalError, OSError):
-            # The peer hung up (or spoke garbage) on our HELLO; the
-            # first real send will surface unreachability if it's dead.
-            return None, None
-        if not isinstance(frame, Hello):
-            # A reply frame before any request can only be protocol
-            # confusion; treat as un-negotiated.
-            return None, None
-        if frame.version != self.protocol_version:
-            return (), frame  # mismatched dialect: raw, never fail
-        return tuple(frame.codecs), frame
+            sock.sendall(_encode_hello(hello))
+            peer_hello = _recv_hello(sock, deadline)
+            wirecodec.check_hello(peer_hello)
+        except TimeoutError as exc:
+            sock.close()
+            raise NodeUnreachableError(
+                dst, f"no HELLO within {self.connect_timeout_s}s"
+            ) from exc
+        except (OSError, MarshalError) as exc:
+            sock.close()
+            raise NodeUnreachableError(dst, f"handshake failed: {exc}") from exc
+        except ConfigurationError:
+            sock.close()
+            raise
+        sock.settimeout(None)  # the reactor owns it; reply timeouts are waiter-side
+        return sock, peer_hello
 
     def _channel(self, src: str, dst: str) -> _Channel:
         key = (src, dst)
@@ -2263,49 +1935,19 @@ class TcpNetwork(Transport):
             channel = self._channels.get(key)
             if channel is not None and not channel.closed:
                 return channel
-        sock = self._connect(dst)
-        negotiated: tuple[str, ...] | None = None
-        peer_hello: Hello | None = None
-        if self.handshake:
-            try:
-                negotiated, peer_hello = self._client_handshake(sock, src)
-            except _HandshakeTimeout:
-                # The wait may have expired mid-frame, leaving the read
-                # stream desynced — redial and treat the peer as legacy
-                # (no second HELLO: one slow handshake costs this
-                # channel its compression, never its correctness).
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                sock = self._connect(dst)
-        sock.settimeout(None)  # the reactor owns it; reply timeouts are waiter-side
+        sock, peer_hello = self._open(src, dst)
         self._learn_peer_uds(dst, peer_hello)
-        channel = _Channel(dst, sock, self._reactor,
-                           serialize=(self.mode == "pooled"),
-                           negotiated=negotiated, peer_hello=peer_hello,
-                           protocol_version=self.protocol_version,
-                           binary_enabled=self._binary_enabled)
-        # Reads the channel's live negotiation state so a HELLO that
-        # straggles in after the handshake window still upgrades the
-        # channel; un-negotiated channels use the registry path (which
-        # is empty — hence raw — for peers this process never hosted).
-        # (Assigned post-construction, but only send paths — which run
-        # after this method returns — ever call it.)
-        if _UDS_SUPPORTED and sock.family == socket.AF_UNIX:
-            # Same-machine channel: compression saves bandwidth a Unix
-            # socket does not consume, so every frame goes raw and the
-            # compressor's CPU cost goes with it.
-            channel._codec_for = None
-        else:
-            channel._codec_for = lambda nbytes: (
-                self._frame_codec(dst, nbytes)
-                if channel.negotiated_codecs is None
-                else self._codec_for_advertised(channel.negotiated_codecs, nbytes)
-            )
-        if self.auto_batch and self.mode == "pipelined":
-            # Same post-construction discipline as _codec_for: only
-            # submit_auto — called after this method returns — reads it.
+        advertised = tuple(peer_hello.codecs)
+        codec_for = None
+        if not (_UDS_SUPPORTED and sock.family == socket.AF_UNIX):
+            # Same-machine channels stay raw: compression saves bandwidth
+            # a Unix socket does not consume, at a real CPU cost.
+            codec_for = lambda nbytes: self._codec_for_advertised(
+                advertised, nbytes)
+        channel = _Channel(dst, sock, self._reactor, advertised, codec_for)
+        if self.auto_batch:
+            # Attached post-construction: only submit_auto — called after
+            # this method returns — reads it.
             channel._batcher = _AutoBatcher(
                 channel, self, self.batch_max_msgs, self.batch_max_bytes,
                 self._call_metrics,
@@ -2318,7 +1960,7 @@ class TcpNetwork(Transport):
             self._channels[key] = channel
         return channel
 
-    def _learn_peer_uds(self, dst: str, hello: "Hello | None") -> None:
+    def _learn_peer_uds(self, dst: str, hello: Hello) -> None:
         """Adopt the Unix-socket facet a server's HELLO advertised.
 
         Recorded through :meth:`connect`'s facet merge, so the address
@@ -2329,7 +1971,7 @@ class TcpNetwork(Transport):
         ``dst``: adopting a mismatched advertisement would re-route —
         and sever — healthy connections on hearsay.
         """
-        if hello is None or not self.uds:
+        if not self.uds:
             return
         spec = hello.settings.get(_UDS_SETTING)
         if (not isinstance(spec, tuple) or len(spec) != 3
@@ -2355,7 +1997,7 @@ class TcpNetwork(Transport):
             channel.close(rescue=rescue)
 
     def open_channels(self) -> int:
-        """How many live pooled connections exist (for tests/diagnostics)."""
+        """How many live client channels exist (for tests/diagnostics)."""
         with self._chan_lock:
             return sum(1 for c in self._channels.values() if not c.closed)
 
@@ -2378,87 +2020,20 @@ class TcpNetwork(Transport):
         if message.kind in ONEWAY_KINDS:
             self.trace.record(message, self.clock.now_ms(), dropped=True)
 
-    def _transmit_pooled(self, message: Message, op):
-        """Send via the pooled channel, with one stale-channel retry.
-
-        A pooled connection may have died since its last use (the peer
-        re-registered or unregistered).  ``_ChannelClosedError`` means the
-        frame provably never left this side, so reconnecting and resending
-        preserves at-most-once; any post-send failure surfaces from ``op``
-        as :class:`NodeUnreachableError` instead.
-        """
-        for _ in range(2):
-            try:
-                channel = self._channel(message.src, message.dst)
-            except NodeUnreachableError:
-                self._record_drop(message)
-                raise
-            try:
-                return op(channel)
-            except _ChannelClosedError:
-                continue
-        self._record_drop(message)
-        raise NodeUnreachableError(message.dst, "connection lost before send")
-
-    def _reply_timeout_s(self, message: Message) -> float:
-        """The wait budget for one exchange: io timeout capped by deadline."""
-        timeout_s = self.io_timeout_s
-        if message.deadline is not None:
-            timeout_s = min(timeout_s, message.deadline.remaining_s())
-        return timeout_s
-
-    def _per_call_send(self, message: Message, want_reply: bool) -> Message | None:
-        """One fresh-connection exchange (the early-RMI baseline mode)."""
-        try:
-            sock = self._connect(message.dst)
-        except NodeUnreachableError:
-            self._record_drop(message)
-            raise
-        sock.settimeout(max(self._reply_timeout_s(message), 0.001))
-        with sock:
-            try:
-                _send_frame(sock, message,
-                            lambda nbytes: self._frame_codec(message.dst, nbytes))
-                if not want_reply:
-                    return None
-                reply, _nbytes = _recv_frame(sock)
-                return reply
-            except socket.timeout as exc:
-                if message.deadline is not None:
-                    # The caller's budget capped this wait: surface the
-                    # same CallTimeoutError the pooled/pipelined waiters
-                    # raise, so deadline consumers see one error type
-                    # regardless of mode.
-                    raise CallTimeoutError(
-                        f"{message.describe()}: deadline expired awaiting reply"
-                    ) from exc
-                self._record_drop(message)  # one-way only; no-op for calls
-                raise NodeUnreachableError(message.dst, f"io failed: {exc}") from exc
-            except (ConnectionError, OSError) as exc:
-                self._record_drop(message)  # one-way only; no-op for calls
-                raise NodeUnreachableError(message.dst, f"io failed: {exc}") from exc
-
     def _transmit(self, message: Message) -> Message:
-        if self.mode == "per-call":
-            return self._per_call_send(message, want_reply=True)
-        timeout_s = self._reply_timeout_s(message)
-        return self._transmit_pooled(
-            message, lambda channel: channel.request(message, timeout_s)
-        )
+        """Never called: every exchange is a pipelined future from
+        :meth:`_transmit_async`, so the base retry loop does not run here."""
+        raise NotImplementedError("TcpNetwork exchanges go through _transmit_async")
 
     def _transmit_async(self, message: Message, batch: bool) -> CallFuture:
         """Native futures on the pipelined channel's waiter mechanism.
 
-        The frame is written during submission (with the same
-        provably-unsent reconnect retry as the blocking path); the returned
-        future is resolved by the channel's reader thread when the matching
+        The frame is written during submission (a channel that proves
+        closed before the write is redialled once); the returned
+        future is resolved by the channel's reactor callback when the matching
         reply frame arrives.  Issuing N futures before collecting any puts
-        N round trips in flight on the shared connection.  The "per-call"
-        and "pooled" modes keep the base class's eager exchange — their
-        wire protocols carry one exchange at a time by design.
+        N round trips in flight on the shared connection.
         """
-        if self.mode != "pipelined":
-            return super()._transmit_async(message, batch)
         future = _PipelinedCallFuture(message, batch, self.io_timeout_s,
                                       transport=self)
         if message.deadline is not None and message.deadline.expired:
@@ -2472,6 +2047,9 @@ class TcpNetwork(Transport):
                 channel = self._channel(message.src, message.dst)
             except NodeUnreachableError as exc:
                 self._record_drop(message)
+                future._fail(exc)
+                return future
+            except ConfigurationError as exc:  # the peer speaks another wire
                 future._fail(exc)
                 return future
             # Channel recorded *before* submission: the auto-batcher may
@@ -2517,7 +2095,7 @@ class TcpNetwork(Transport):
             for _ in range(2):
                 try:
                     channel = self._channel(message.src, message.dst)
-                except NodeUnreachableError as exc:
+                except (NodeUnreachableError, ConfigurationError) as exc:
                     failure = exc
                     break
                 if hasattr(sink, "_channel"):
@@ -2541,12 +2119,28 @@ class TcpNetwork(Transport):
                 ))
 
     def _transmit_oneway(self, message: Message) -> None:
-        if self.mode == "per-call":
-            self._per_call_send(message, want_reply=False)
-            return
-        self._transmit_pooled(
-            message, lambda channel: channel.send_oneway(message)
-        )
+        """Send via the peer's channel, with one stale-channel retry.
+
+        A channel may have died since its last use (the peer
+        re-registered or unregistered).  ``_ChannelClosedError`` means the
+        frame provably never left this side, so one redial is safe.  Every
+        failure traces a drop; a peer on another wire version raises
+        :class:`ConfigurationError` (a deployment fault, not a loss, so
+        :meth:`cast` lets it through).
+        """
+        for _ in range(2):
+            try:
+                channel = self._channel(message.src, message.dst)
+            except (NodeUnreachableError, ConfigurationError):
+                self._record_drop(message)
+                raise
+            try:
+                channel.send_oneway(message)
+                return
+            except _ChannelClosedError:
+                continue
+        self._record_drop(message)
+        raise NodeUnreachableError(message.dst, "connection lost before send")
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -538,22 +538,20 @@ class ReplyCache:
 class _PeerRecord:
     """Everything one transport remembers about one peer node."""
 
-    __slots__ = ("endpoint", "ewma_s", "codecs")
+    __slots__ = ("endpoint", "ewma_s")
 
     def __init__(self) -> None:
         self.endpoint: Endpoint | None = None
         self.ewma_s: float | None = None
-        self.codecs: tuple[str, ...] | None = None
 
 
 class _PeerShard:
     """One stripe of the per-peer state table.
 
-    Endpoint, latency EWMA, and codec advertisement for a peer live in
-    *one* record behind *one* lock, so :meth:`forget` removes all of
-    them atomically — a concurrent ``note_link_latency`` or codec read
-    can never resurrect half a departed peer (they either see the whole
-    record or none of it).
+    Endpoint and latency EWMA for a peer live in *one* record behind
+    *one* lock, so :meth:`forget` removes both atomically — a concurrent
+    ``note_link_latency`` can never resurrect half a departed peer (it
+    either sees the whole record or none of it).
     """
 
     __slots__ = ("_lock", "_peers")
@@ -594,15 +592,6 @@ class _PeerShard:
         with self._lock:
             record = self._peers.get(node_id)
             return record.ewma_s if record is not None else None
-
-    def set_codecs(self, node_id: str, codecs: tuple[str, ...]) -> None:
-        with self._lock:
-            self._record_locked(node_id).codecs = codecs
-
-    def codecs(self, node_id: str) -> tuple[str, ...] | None:
-        with self._lock:
-            record = self._peers.get(node_id)
-            return record.codecs if record is not None else None
 
     def forget(self, node_id: str) -> None:
         """Atomically drop everything remembered about ``node_id``."""
@@ -655,10 +644,10 @@ class Transport(ABC):
         self.clock = clock
         self.trace = trace if trace is not None else MessageTrace()
         self.retry_budget = retry_budget
-        # Endpoint + latency EWMA + codec advertisement per peer, striped
-        # by node-id hash: hot-path reads (every send consults codecs,
-        # every reply feeds the EWMA) stop serializing on a global lock,
-        # and forget_peer drops a peer's whole record in one atomic pop.
+        # Endpoint + latency EWMA per peer, striped by node-id hash:
+        # hot-path writes (every reply feeds the EWMA) stop serializing on
+        # a global lock, and forget_peer drops a peer's whole record in
+        # one atomic pop.
         self._peer_shards = tuple(_PeerShard() for _ in range(_PEER_SHARDS))
 
     # -- address book ---------------------------------------------------------
@@ -718,12 +707,11 @@ class Transport(ABC):
         """Drop every per-peer record held for ``node_id``.
 
         Called when a node deregisters or membership declares it dead,
-        so a long-lived transport does not accumulate latency EWMAs,
-        codec advertisements, and address-book entries for departed
-        peers.  Idempotent; a later :meth:`connect` or fresh traffic
-        rebuilds the state from scratch.  The whole record goes in one
-        atomic pop, so a send racing the forget observes either the full
-        peer state or none of it — never an endpoint without its codecs.
+        so a long-lived transport does not accumulate latency EWMAs and
+        address-book entries for departed peers.  Idempotent; a later
+        :meth:`connect` or fresh traffic rebuilds the state from scratch.
+        The whole record goes in one atomic pop, so a send racing the
+        forget observes either the full peer state or none of it.
         """
         self._peer_shard(node_id).forget(node_id)
 
@@ -758,26 +746,6 @@ class Transport(ABC):
             known.update(shard.latencies())
         return sorted(candidates,
                       key=lambda node: known.get(node, float("inf")))
-
-    # -- codec advertisements -------------------------------------------------
-
-    def set_advertised_codecs(self, node_id: str,
-                              codecs: tuple[str, ...]) -> None:
-        """Record which codecs ``node_id`` accepts from its peers.
-
-        Lives with the peer's endpoint and latency EWMA in the sharded
-        per-peer record, so a :meth:`forget_peer` racing a concurrent
-        send can never leave a dangling advertisement behind.
-        """
-        self._peer_shard(node_id).set_codecs(node_id, tuple(codecs))
-
-    def advertised_codecs_of(self, node_id: str) -> tuple[str, ...] | None:
-        """``node_id``'s advertised codecs (``None`` when never recorded).
-
-        ``()`` is a meaningful advertisement — "accepts nothing beyond
-        raw" — distinct from an absent record.
-        """
-        return self._peer_shard(node_id).codecs(node_id)
 
     # -- node management ----------------------------------------------------
 
@@ -905,7 +873,7 @@ class Transport(ABC):
         queue.  Returns the reply values in request order.
 
         On the pipelined TCP transport the window's round trips genuinely
-        overlap on the pooled socket (a stream of N chunks costs ~N/window
+        overlap on the shared socket (a stream of N chunks costs ~N/window
         round-trip latencies plus transmission); on eagerly completing
         transports (the simulated network) every exchange runs inline at
         submission, so the message sequence is the deterministic
@@ -1019,7 +987,10 @@ class Transport(ABC):
         or aimed at an unreachable node vanishes silently (the trace still
         records drops), exactly like a datagram.  Mobile-agent hops ride
         this — §3.5's asynchrony — so an agent sent into a dead node is
-        lost, and the registry's verified find reports it missing.
+        lost, and the registry's verified find reports it missing.  A
+        :class:`~repro.errors.ConfigurationError` — a TCP peer on another
+        wire version — is a deployment fault, not a loss: it is traced as
+        a drop and still raises.
         """
         message = build_message(kind, src, dst, payload)
         try:

@@ -1,10 +1,10 @@
-"""Schema-compiled binary wire codec for the control plane.
+"""Schema-compiled binary wire codec: the TCP transport's one envelope.
 
-PR 7's reactor moved the data plane off threads; the remaining per-call
-cost is serialization: every envelope and payload was a full ``pickle``
-round trip over a dataclass.  This module replaces pickle on the
-control-plane hot path with codecs **compiled at import time from the
-payload dataclasses themselves**: for each class in
+With the data plane on a reactor, the remaining per-call cost is
+serialization, and a ``pickle`` round trip over a dataclass is the
+expensive way to pay it.  This module encodes every TCP message with
+codecs **compiled at import time from the payload dataclasses
+themselves**: for each class in
 :mod:`repro.rmi.protocol` (plus :class:`~repro.net.message.ReplyPayload`)
 the field list is read once via :func:`dataclasses.fields` and an
 encoder/decoder pair is generated (``exec``-compiled, no per-field
@@ -13,22 +13,21 @@ layout.  A whole :class:`~repro.net.message.Message` travels as a
 *binary envelope*: one magic byte, a kind code, flag-gated header
 fields, and the payload in the tagged value encoding.
 
-**How negotiation works (the HELLO story, PR 5/7).**  The handshake
-frame (:class:`repro.net.endpoint.Hello`) carries a free-form
-``settings`` map that receivers ignore unknown keys of — the designed
-growth path for wire features.  Each side advertises
-``settings["wire"] = (WIRE_FORMAT,)`` where :data:`WIRE_FORMAT` is
-``"bin1:<digest>"`` and the digest hashes the *entire compiled schema*
-(kind table order plus every class's field layout).  A sender uses the
-binary envelope only toward a peer whose HELLO carried the **same
-version and the same format string**; anyone else — a legacy build, a
-``handshake=False`` peer, or a build whose schema drifted — gets the
-PR 7 flattened pickled-tuple envelope (or the whole-pickle legacy
-format), exactly as before.  Decoding never needs negotiation at all:
-the first byte of a binary envelope is :data:`MAGIC` (0xB1), which can
-never open a pickle stream (protocol ≥2 pickles start with 0x80), so a
-receiver routes each frame by looking at one byte.  SimNetwork never
-touches this module — figure traces stay byte-identical.
+**The only TCP envelope.**  Every frame after a connection's HELLO is a
+binary envelope; there is no pickled fallback dialect.  The HELLO
+(:class:`repro.net.endpoint.Hello`) carries ``settings["wire"] =
+(WIRE_FORMAT,)``, where :data:`WIRE_FORMAT` is ``"bin1:<digest>"`` and
+the digest hashes the *entire compiled schema* (kind table order plus
+every class's field layout).  :func:`check_hello` refuses a peer whose
+HELLO names another protocol version or another digest with
+:class:`~repro.errors.ConfigurationError`, naming both values, so two
+builds whose layouts differ fail loudly instead of mis-decoding.  A
+binary envelope opens with :data:`MAGIC` (0xB1), which can never open a
+pickle stream (protocol ≥2 pickles start with 0x80): the transport
+rejects a post-HELLO frame by its first byte without unpickling it.
+What is still unpickled inside an envelope is a value this codec does
+not compile (the pickle tag below).  SimNetwork never touches this
+module — figure traces stay byte-identical.
 
 **Zero-copy discipline.**  Encoders append small fields into one
 ``bytearray`` and *flush* large ``bytes``/``memoryview`` fields (state
@@ -52,15 +51,16 @@ import struct
 from dataclasses import fields as dataclass_fields
 from typing import Any, Callable
 
+from repro.errors import ConfigurationError
 from repro.net.deadline import Deadline
-from repro.net.endpoint import Hello
+from repro.net.endpoint import PROTOCOL_VERSION, Hello
 from repro.net.message import Message, MessageKind, ReplyPayload
 from repro.rmi import protocol
 from repro.rmi.stub import RemoteRef
 
 #: First byte of every binary envelope.  Pickle streams of protocol ≥ 2
-#: open with 0x80 (the PROTO opcode) and wire-level HELLOs are pickles,
-#: so one byte routes any frame: 0xB1 → binary, anything else → pickle.
+#: open with 0x80 (the PROTO opcode), so one byte tells an envelope from
+#: a pickled frame (a HELLO, or a peer speaking some other wire).
 MAGIC = 0xB1
 
 #: ``Hello.settings`` key under which wire-format capability is advertised.
@@ -418,8 +418,8 @@ def _field_kind(annotation: object) -> str:
     annotation — optionals, dicts, ``object`` — uses the tagged value
     encoding, which handles primitives natively and falls back to pickle
     for the rest.  The kind name is part of the schema digest, so
-    changing a mapping here re-negotiates the dialect instead of
-    mis-decoding against an older build.
+    changing a mapping here makes an older build refuse this one at
+    the HELLO instead of mis-decoding.
     """
     text = annotation if isinstance(annotation, str) else str(
         getattr(annotation, "__name__", ""))
@@ -524,7 +524,7 @@ def _compile_codec(
 #: **Append-only**: the position is the on-wire class code, and the
 #: schema digest (hence :data:`WIRE_FORMAT`) changes whenever this
 #: tuple, a field list, or the MessageKind table changes — mismatched
-#: builds then negotiate down to the pickled envelope automatically.
+#: builds then refuse each other's HELLO (:func:`check_hello`).
 REGISTERED_PAYLOADS: tuple[type[Any], ...] = (
     protocol.InvokeRequest,
     protocol.LookupRequest,
@@ -758,18 +758,29 @@ def _schema_digest() -> str:
 
 #: The capability string advertised in ``Hello.settings["wire"]``.  The
 #: digest covers the kind table and every compiled schema, so two builds
-#: negotiate the binary envelope only when their layouts are *provably*
-#: identical; any drift degrades to the pickled envelope instead of
-#: mis-decoding.
+#: talk only when their layouts are *provably* identical; any drift is
+#: refused at the HELLO instead of mis-decoding.
 WIRE_FORMAT = "bin1:" + _schema_digest()
 
 
-def hello_accepts_binary(hello: Hello | None, protocol_version: int) -> bool:
-    """True when ``hello`` negotiated this build's exact binary dialect."""
-    if hello is None or hello.version != protocol_version:
-        return False
+def check_hello(hello: Hello) -> None:
+    """Refuse a peer that does not speak this build's exact wire.
+
+    Raises :class:`ConfigurationError` naming both sides' values when
+    ``hello`` carries another protocol version, or a wire-format
+    advertisement without this build's :data:`WIRE_FORMAT`.
+    """
+    if hello.version != PROTOCOL_VERSION:
+        raise ConfigurationError(
+            f"peer {hello.node_id!r} speaks protocol version "
+            f"{hello.version!r}; this build speaks {PROTOCOL_VERSION}"
+        )
     formats = hello.settings.get(WIRE_SETTING, ())
-    return isinstance(formats, (tuple, list)) and WIRE_FORMAT in formats
+    if not isinstance(formats, (tuple, list)) or WIRE_FORMAT not in formats:
+        raise ConfigurationError(
+            f"peer {hello.node_id!r} speaks wire format {formats!r}; "
+            f"this build speaks {WIRE_FORMAT!r}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Cluster-layer deadlines: one budget per fan-out, silence as a signal.
 
 * ``Cluster.broadcast`` / ``query_all_loads`` / ``locate`` and the
-  ``DiscoveryService`` sweeps take one shared deadline for the whole
+  ``Membership`` sweeps take one shared deadline for the whole
   fan-out (instead of per-node timeouts);
 * ``LoadBalancer(probe_timeout_ms=...)`` prices a host that misses the
   probe window at ``inf`` — overloaded-by-silence, so it counts against

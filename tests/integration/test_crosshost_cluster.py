@@ -153,12 +153,11 @@ def test_two_process_cluster_end_to_end(two_process):
     assert "TRANSFER_COMMIT" in seen
     assert probe.summary()["TRANSFER_CHUNK"] >= len(blob) // CHUNK_BYTES
 
-    # -- codec negotiation happened on the wire, not via any registry ------
-    # (the two processes share no in-process advertisement state, and no
-    # advertise_codecs call was ever made between them)
+    # -- codec negotiation happened on the wire ----------------------------
+    # (the two processes share no in-process state: the only source of
+    # the peer's codec list is its HELLO)
     negotiated = net.negotiated_codecs("hub", "worker")
     assert negotiated is not None and "zlib" in negotiated
-    assert net.peer_codecs("worker") == ()  # the registry path knows nothing
     assert probe.negotiated("worker", "hub") is not None  # child side too
 
     # -- failure: kill the child; the heartbeat must notice ----------------

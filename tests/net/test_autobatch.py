@@ -3,8 +3,9 @@
 Covers the coalescing client (reply-clocked flush, the kick safety
 valve), the aggregating server (parallel sub dispatch, one reply frame),
 reply-id uniqueness under aggregation, failure isolation between
-coalesced sub-calls, at-most-once across retransmission, mixed-version
-interop, and the declared-inline dispatch fast path.
+coalesced sub-calls, at-most-once across retransmission, the sender-side
+``auto_batch`` switch between two transports, and the declared-inline
+dispatch fast path.
 """
 
 import threading
@@ -14,7 +15,6 @@ import pytest
 
 from repro.errors import CallTimeoutError
 from repro.net.deadline import Deadline
-from repro.net.endpoint import PROTOCOL_VERSION, Hello
 from repro.net.message import (
     Message,
     MessageKind,
@@ -22,11 +22,8 @@ from repro.net.message import (
     inline_safe,
 )
 from repro.net.tcpnet import (
-    _AUTOBATCH_SETTING,
-    _AUTOBATCH_TOKEN,
     _INLINE_DEMOTE_STRIKES,
     _Channel,
-    _hello_accepts_autobatch,
     TcpNetwork,
 )
 from repro.net.transport import ReplyCache, Transport, gather
@@ -260,19 +257,7 @@ def _link(a, a_node, b, b_node):
     b.connect(a_node, a.endpoint_of(a_node))
 
 
-class TestMixedVersionInterop:
-    def test_hello_negotiation(self):
-        accepting = Hello(
-            version=PROTOCOL_VERSION, node_id="n",
-            settings={_AUTOBATCH_SETTING: _AUTOBATCH_TOKEN},
-        )
-        assert _hello_accepts_autobatch(accepting, PROTOCOL_VERSION)
-        assert not _hello_accepts_autobatch(None, PROTOCOL_VERSION)
-        assert not _hello_accepts_autobatch(
-            Hello(version=PROTOCOL_VERSION, node_id="n"), PROTOCOL_VERSION
-        )
-        assert not _hello_accepts_autobatch(accepting, PROTOCOL_VERSION + 1)
-
+class TestSenderSideSwitch:
     def _pressure(self, client, src, dst, gate):
         """Run the coalescing-pressure pattern against a remote server."""
         client.call(src, dst, MessageKind.PING, 0)
@@ -285,25 +270,43 @@ class TestMixedVersionInterop:
         gate.release.set()
         assert hung.result(timeout_s=5.0) == "hung"
 
-    def test_legacy_server_gets_per_call_frames(self):
-        """A peer built without auto-batching negotiates it away: the
-        modern client's backlog flushes as plain per-call frames."""
-        modern = TcpNetwork()
-        legacy = TcpNetwork(auto_batch=False)
+    def test_client_with_auto_batch_off_sends_no_auto_batch(self):
+        """``auto_batch=False`` is a sender-side switch: that client's
+        backlog flushes as plain per-call frames, whatever the server."""
+        plain = TcpNetwork(auto_batch=False)
+        server = TcpNetwork()
         try:
             gate = _Gate()
-            modern.register("hub", lambda m: None)
-            legacy.register("old", gate)
-            _link(modern, "hub", legacy, "old")
-            self._pressure(modern, "hub", "old", gate)
-            assert modern.data_plane_metrics().auto_batches == 0
-            kinds = {e.kind for e in legacy.trace.events()}
+            plain.register("hub", lambda m: None)
+            server.register("srv", gate)
+            _link(plain, "hub", server, "srv")
+            self._pressure(plain, "hub", "srv", gate)
+            assert plain.data_plane_metrics().auto_batches == 0
+            kinds = {e.kind for e in server.trace.events()}
             assert not any("AUTO_BATCH" in kind for kind in kinds)
         finally:
-            modern.shutdown()
-            legacy.shutdown()
+            plain.shutdown()
+            server.shutdown()
 
-    def test_modern_peers_negotiate_aggregation(self):
+    def test_server_with_auto_batch_off_still_decodes_aggregates(self):
+        """Every build decodes AUTO_BATCH: a batching client coalesces
+        toward a server whose own ``auto_batch`` is off."""
+        client = TcpNetwork()
+        server = TcpNetwork(auto_batch=False)
+        try:
+            gate = _Gate()
+            client.register("hub", lambda m: None)
+            server.register("srv", gate)
+            _link(client, "hub", server, "srv")
+            self._pressure(client, "hub", "srv", gate)
+            assert client.data_plane_metrics().auto_batches >= 1
+            kinds = {e.kind for e in server.trace.events()}
+            assert "AUTO_BATCH" in kinds
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_batching_peers_aggregate(self):
         client = TcpNetwork()
         server = TcpNetwork()
         try:
@@ -318,23 +321,6 @@ class TestMixedVersionInterop:
         finally:
             client.shutdown()
             server.shutdown()
-
-    def test_pre_handshake_peer_keeps_working(self):
-        """No HELLO at all (a pre-handshake build): the capability is
-        never negotiated and every call still completes."""
-        net = TcpNetwork(handshake=False)
-        try:
-            gate = _Gate()
-            hung = gate.open(net)
-            futures = [
-                net.call_async("a", "b", MessageKind.PING, i)
-                for i in range(4)
-            ]
-            assert gather(futures) == [10, 11, 12, 13]
-            gate.drain(hung)
-            assert net.data_plane_metrics().auto_batches == 0
-        finally:
-            net.shutdown()
 
 
 class TestInlineDispatch:

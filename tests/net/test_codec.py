@@ -1,65 +1,19 @@
-"""Frame codec: negotiation, thresholds, and byte-identical raw framing."""
+"""Frame codec: negotiation, thresholds, and raw framing."""
 
 import pickle
-import socket
 import struct
 
 import pytest
 
 from repro.errors import MarshalError
-from repro.net import codec
+from repro.net import codec, wirecodec
 from repro.net.message import Message, MessageKind
-from repro.net.tcpnet import TcpNetwork, _recv_frame, _send_frame
+from repro.net.tcpnet import TcpNetwork, _decode_frame, _encode_frame
 
 
-def _socketpair():
-    a, b = socket.socketpair()
-    a.settimeout(5.0)
-    b.settimeout(5.0)
-    return a, b
-
-
-def _roundtrip(message, codec_for=None):
-    import threading
-
-    a, b = _socketpair()
-    out = {}
-    try:
-        reader = threading.Thread(
-            target=lambda: out.update(zip(("msg", "nbytes"), _recv_frame(b)))
-        )
-        reader.start()
-        _send_frame(a, message, codec_for)
-        reader.join(10.0)
-        return out["msg"], out["nbytes"]
-    finally:
-        a.close()
-        b.close()
-
-
-def _wire_bytes(message, codec_for=None):
-    import threading
-
-    a, b = _socketpair()
-    chunks = []
-
-    def drain():
-        while True:
-            chunk = b.recv(65536)
-            if not chunk:
-                return
-            chunks.append(chunk)
-
-    try:
-        reader = threading.Thread(target=drain)
-        reader.start()
-        _send_frame(a, message, codec_for)
-        a.shutdown(socket.SHUT_WR)
-        reader.join(10.0)
-        return b"".join(chunks)
-    finally:
-        a.close()
-        b.close()
+def _joined(wire):
+    """One encoded frame as contiguous bytes."""
+    return wire if isinstance(wire, bytes) else b"".join(bytes(p) for p in wire)
 
 
 class TestCodecPrimitives:
@@ -102,33 +56,44 @@ class TestCodecPrimitives:
 
 
 class TestFrameFormat:
-    def test_sub_threshold_frame_is_byte_identical_to_pre_codec_format(self):
-        """Small control messages must produce the exact pre-PR bytes."""
+    def test_sub_threshold_frame_is_raw_length_prefix_plus_envelope(self):
+        """Small control messages are never touched by a codec: the
+        frame is the bare length word and the binary envelope."""
         message = Message(kind=MessageKind.PING, src="a", dst="b")
-        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        legacy = struct.pack(">I", len(blob)) + blob
+        envelope = b"".join(wirecodec.encode_envelope(message))
+        raw = struct.pack(">I", len(envelope)) + envelope
         compressing = lambda nbytes: codec.choose_codec(
             nbytes, ("zlib",), ("zlib",), codec.DEFAULT_COMPRESS_THRESHOLD)
-        assert _wire_bytes(message, compressing) == legacy
-        assert _wire_bytes(message, None) == legacy
+        assert _joined(_encode_frame(message, compressing)) == raw
+        assert _joined(_encode_frame(message, None)) == raw
 
     def test_large_frame_compresses_and_roundtrips(self):
         message = Message(kind=MessageKind.INVOKE, src="a", dst="b",
                           payload=b"payload" * 50_000)
-        raw_len = len(_wire_bytes(message, None))
-        received, nbytes = _roundtrip(
+        raw_len = len(_joined(_encode_frame(message, None)))
+        wire = _encode_frame(
             message, lambda n: codec.choose_codec(n, ("zlib",), ("zlib",), 1024)
         )
+        ident, received = _decode_wire(wire)
+        assert ident == codec.ZLIB
         assert received.payload == message.payload
         assert received.msg_id == message.msg_id
-        assert nbytes < raw_len / 2  # wire carried the compressed body
+        assert len(_joined(wire)) < raw_len / 2  # the compressed body
 
     def test_incompressible_frame_falls_back_to_raw(self):
         import os
         message = Message(kind=MessageKind.INVOKE, src="a", dst="b",
                           payload=os.urandom(64 * 1024))
-        received, _ = _roundtrip(message, lambda n: codec.ZLIB)
+        ident, received = _decode_wire(
+            _encode_frame(message, lambda n: codec.ZLIB))
+        assert ident == codec.RAW
         assert received.payload == message.payload
+
+    def test_pickle_frame_is_rejected_unread(self):
+        """Every post-HELLO frame must be a binary envelope."""
+        blob = pickle.dumps(("anything",), pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(MarshalError, match="binary envelope"):
+            _decode_frame(codec.RAW, blob)
 
 
 class TestTcpNegotiation:
@@ -161,27 +126,6 @@ class TestTcpNegotiation:
             assert compressions == []
         finally:
             net.shutdown()
-
-    def test_registration_advertises_local_codecs(self, net):
-        net.register("n1", lambda m: "ok")
-        assert net.peer_codecs("n1") == codec.available_codecs()
-        assert net.peer_codecs("ghost") == ()
-
-    def test_mixed_codec_peer_falls_back_to_raw(self, net, monkeypatch):
-        """A peer advertising no codecs gets raw frames — and the call
-        still succeeds (negotiation degrades, never fails)."""
-        big = b"state" * 100_000
-        net.register("src", lambda m: "ok")
-        net.register("legacy", lambda m: len(m.payload))
-        net.advertise_codecs("legacy", ())  # a pre-codec build
-        compressions = []
-        real_encode = codec.encode
-        monkeypatch.setattr(
-            codec, "encode",
-            lambda ident, blob: compressions.append(ident) or real_encode(ident, blob),
-        )
-        assert net.call("src", "legacy", MessageKind.INVOKE, big) == len(big)
-        assert compressions == []  # nothing was ever compressed toward it
 
     def test_negotiated_peer_gets_compressed_frames(self, net, monkeypatch):
         big = b"state" * 100_000
@@ -253,9 +197,9 @@ def _chunk_message(data):
 
 
 def _decode_wire(wire):
-    from repro.net.tcpnet import _CODEC_SHIFT, _LENGTH_MASK, _decode_frame
+    from repro.net.tcpnet import _CODEC_SHIFT, _LENGTH_MASK
 
-    frame = wire if isinstance(wire, bytes) else b"".join(wire)
+    frame = _joined(wire)
     (word,) = struct.unpack(">I", frame[:4])
     assert word & _LENGTH_MASK == len(frame) - 4
     return word >> _CODEC_SHIFT, _decode_frame(word >> _CODEC_SHIFT, frame[4:])
@@ -290,12 +234,10 @@ class TestCompressibilityProbe:
     def test_random_multi_segment_frame_is_never_joined(self, monkeypatch):
         import os
 
-        from repro.net.tcpnet import _encode_frame
-
         data = os.urandom(256 * 1024)
         sizes = _count_zlib_input(monkeypatch)
         wire = _encode_frame(_chunk_message(memoryview(data)),
-                             lambda n: codec.ZLIB, binary=True)
+                             lambda n: codec.ZLIB)
         assert max(sizes) <= codec.PROBE_SAMPLE_BYTES
         # Still a gather list whose blob segment is a view over ``data``:
         # nothing copied the segments into one buffer.
@@ -307,11 +249,9 @@ class TestCompressibilityProbe:
         assert decoded.payload.data_bytes() == data
 
     def test_compressible_multi_segment_frame_still_compresses(self):
-        from repro.net.tcpnet import _encode_frame
-
         data = b"state" * 50_000
         wire = _encode_frame(_chunk_message(memoryview(data)),
-                             lambda n: codec.ZLIB, binary=True)
+                             lambda n: codec.ZLIB)
         assert isinstance(wire, bytes) and len(wire) < len(data) // 10
         ident, decoded = _decode_wire(wire)
         assert ident == codec.ZLIB

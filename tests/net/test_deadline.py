@@ -288,9 +288,8 @@ class TestTcpDeadline:
         finally:
             slow.shutdown()
 
-    @pytest.mark.parametrize("mode", ["per-call", "pooled"])
-    def test_non_pipelined_modes_honour_deadlines(self, mode):
-        network = TcpNetwork(mode=mode, io_timeout_s=5.0)
+    def test_blocking_calls_honour_deadlines(self):
+        network = TcpNetwork(io_timeout_s=5.0)
         try:
             network.register("a", lambda m: None)
             network.register("b", lambda m: m.payload)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, NodeUnreachableError
 from repro.net.message import Message, MessageKind
-from repro.net.tcpnet import MODES, TcpNetwork
+from repro.net.tcpnet import TcpNetwork
 
 
 @pytest.fixture
@@ -86,72 +86,37 @@ class TestTcpDelivery:
         assert "REPLY(PING)" in kinds
 
 
-class TestConnectionModes:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_round_trip_in_every_mode(self, mode):
-        net = TcpNetwork(mode=mode)
-        try:
-            net.register("a", lambda m: None)
-            net.register("b", lambda m: ("echo", m.payload))
-            assert net.call("a", "b", MessageKind.PING, 5) == ("echo", 5)
-        finally:
-            net.shutdown()
+class TestPipelinedConnection:
+    def test_concurrent_calls(self, net):
+        net.register("client", lambda m: None)
+        net.register("server", lambda m: m.payload * 2)
+        results = {}
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_concurrent_calls_in_every_mode(self, mode):
-        net = TcpNetwork(mode=mode)
-        try:
-            net.register("client", lambda m: None)
-            net.register("server", lambda m: m.payload * 2)
-            results = {}
+        def worker(i):
+            results[i] = net.call("client", "server", MessageKind.PING, i)
 
-            def worker(i):
-                results[i] = net.call("client", "server", MessageKind.PING, i)
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == {i: i * 2 for i in range(8)}
 
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert results == {i: i * 2 for i in range(8)}
-        finally:
-            net.shutdown()
-
-    def test_pipelined_calls_share_one_connection(self):
-        net = TcpNetwork(mode="pipelined")
-        try:
-            net.register("client", lambda m: None)
-            net.register("server", lambda m: m.payload)
-            threads = [
-                threading.Thread(
-                    target=net.call,
-                    args=("client", "server", MessageKind.PING, i),
-                )
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert net.open_channels() == 1
-        finally:
-            net.shutdown()
-
-    def test_per_call_mode_pools_nothing(self):
-        net = TcpNetwork(mode="per-call")
-        try:
-            net.register("a", lambda m: None)
-            net.register("b", lambda m: "ok")
-            net.call("a", "b", MessageKind.PING)
-            assert net.open_channels() == 0
-        finally:
-            net.shutdown()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TcpNetwork(mode="carrier-pigeon")
+    def test_pipelined_calls_share_one_connection(self, net):
+        net.register("client", lambda m: None)
+        net.register("server", lambda m: m.payload)
+        threads = [
+            threading.Thread(
+                target=net.call,
+                args=("client", "server", MessageKind.PING, i),
+            )
+            for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert net.open_channels() == 1
 
 
 class TestConfig:
@@ -171,16 +136,6 @@ class TestDropTracing:
         assert len(dropped) == 1
         assert dropped[0].kind == "AGENT_HOP"
         assert dropped[0].dst == "ghost"
-
-    def test_per_call_cast_to_unknown_destination_traces_a_drop(self):
-        net = TcpNetwork(mode="per-call")
-        try:
-            net.register("a", lambda m: None)
-            net.cast("a", "ghost", MessageKind.AGENT_HOP)
-            dropped = [e for e in net.trace.events() if e.dropped]
-            assert len(dropped) == 1
-        finally:
-            net.shutdown()
 
 
 class TestAtMostOnce:
@@ -203,7 +158,7 @@ class TestAtMostOnce:
         replies = []
 
         def transmit():
-            replies.append(net._transmit(message))
+            replies.append(net._transmit_async(message, batch=False).result())
 
         original = threading.Thread(target=transmit)
         original.start()
@@ -215,7 +170,7 @@ class TestAtMostOnce:
         original.join(5)
         retransmission.join(5)
         assert len(calls) == 1
-        assert [r.payload.value for r in replies] == ["slow", "slow"]
+        assert replies == ["slow", "slow"]
 
 
 class TestControlFlowAbort:
@@ -224,7 +179,6 @@ class TestControlFlowAbort:
         an uncached TransportError immediately (no reply-timeout hang);
         a retransmission of the same message id executes afresh."""
         from repro.errors import TransportError
-        from repro.net.transport import Transport
 
         calls = []
 
@@ -238,12 +192,11 @@ class TestControlFlowAbort:
         net.register("b", interrupted_once)
         message = Message(kind=MessageKind.PING, src="a", dst="b")
         start = time.time()
-        reply = net._transmit(message)
         with pytest.raises(TransportError, match="aborted by KeyboardInterrupt"):
-            Transport._unwrap(reply)
+            net._transmit_async(message, batch=False).result()
         assert time.time() - start < 5  # failed fast, no timeout wait
-        retry = net._transmit(message)
-        assert Transport._unwrap(retry) == "recovered"
+        retry = net._transmit_async(message, batch=False)
+        assert retry.result() == "recovered"
         assert len(calls) == 2
 
 

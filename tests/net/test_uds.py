@@ -5,8 +5,8 @@ on one machine: the only things they share are the endpoints exchanged
 through :meth:`connect` and whatever the HELLO handshake carries.  The
 suite covers the facet advertisement, the UDS dial itself (asserted on
 the live channel's socket family), every degradation path back to plain
-TCP (peer without UDS, legacy peer without a handshake, foreign-host
-facet), HELLO-driven facet learning for 2-tuple roster entries, and the
+TCP (peer without UDS, dialer with UDS off, foreign-host facet),
+HELLO-driven facet learning for 2-tuple roster entries, and the
 peer-eviction hygiene of the auto-batcher (a re-joined peer must start
 clean).
 """
@@ -102,17 +102,6 @@ class TestSameHostDial:
         link(a, "a", b, "b")
         assert a.call("a", "b", MessageKind.PING, "x") == "x"
         assert channel_family(a, "a", "b") == socket.AF_INET
-
-    def test_legacy_peer_without_handshake_interops_over_tcp(self, nets):
-        """A mixed-version cluster: the old build neither handshakes nor
-        listens on a Unix socket, yet calls flow in both directions."""
-        new, old = nets(), nets(handshake=False, uds=False)
-        new.register("n", lambda m: m.payload)
-        old.register("o", lambda m: m.payload.upper())
-        link(new, "n", old, "o")
-        assert new.call("n", "o", MessageKind.PING, "hi") == "HI"
-        assert old.call("o", "n", MessageKind.PING, "back") == "back"
-        assert channel_family(new, "n", "o") == socket.AF_INET
 
     def test_foreign_host_facet_is_never_dialled(self, nets):
         """A roster entry for another machine may carry that machine's

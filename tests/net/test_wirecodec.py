@@ -1,4 +1,4 @@
-"""The schema-compiled binary wire codec and its HELLO negotiation.
+"""The schema-compiled binary wire codec and its HELLO check.
 
 Two layers of coverage:
 
@@ -6,19 +6,29 @@ Two layers of coverage:
   through its generated encoder/decoder (including edge values: long
   strings, out-of-band blobs, i64 overflow, subclasses), and the tagged
   value encoding round-trips arbitrary primitive trees (hypothesis).
-* **Mixed-version clusters over real sockets** — a new-codec build and a
-  legacy pickled-envelope build (modelled as ``wire_formats=()``)
-  interoperate in both directions for every registered payload, and the
-  binary dialect is provably used only between matching builds.
+* **The one wire over real sockets** — every registered payload crosses
+  between two current transports in both directions as a binary
+  envelope, and a raw-socket foreign build whose HELLO names another
+  wire format (a legacy pickled-envelope build, a drifted schema) is
+  refused with ``ConfigurationError`` instead of being talked to.
 """
 
 import dataclasses
 import pickle
 
 import pytest
+from foreign_peer import (
+    ForeignServer,
+    closed_by_peer,
+    dial,
+    envelope_frame,
+    hello,
+    hello_frame,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.net import wirecodec
 from repro.net.deadline import Deadline
 from repro.net.endpoint import PROTOCOL_VERSION, Hello
@@ -323,7 +333,7 @@ class TestEnvelope:
         assert not wirecodec.is_binary_envelope(blob)
 
 
-class TestNegotiation:
+class TestCheckHello:
     def hello(self, **overrides):
         values = dict(
             version=PROTOCOL_VERSION, node_id="peer", codecs=(),
@@ -332,29 +342,29 @@ class TestNegotiation:
         values.update(overrides)
         return Hello(**values)
 
-    def test_matching_build_accepts_binary(self):
-        assert wirecodec.hello_accepts_binary(self.hello(), PROTOCOL_VERSION)
+    def test_matching_build_passes(self):
+        wirecodec.check_hello(self.hello())
 
-    def test_no_hello_refuses(self):
-        assert not wirecodec.hello_accepts_binary(None, PROTOCOL_VERSION)
+    def test_version_mismatch_names_both_versions(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            wirecodec.check_hello(self.hello(version=PROTOCOL_VERSION + 1))
+        assert f"version {PROTOCOL_VERSION + 1}" in str(excinfo.value)
+        assert f"speaks {PROTOCOL_VERSION}" in str(excinfo.value)
 
-    def test_version_mismatch_refuses(self):
-        hello = self.hello(version=PROTOCOL_VERSION + 1)
-        assert not wirecodec.hello_accepts_binary(hello, PROTOCOL_VERSION)
-
-    def test_absent_or_foreign_format_refuses(self):
-        assert not wirecodec.hello_accepts_binary(
-            self.hello(settings={}), PROTOCOL_VERSION)
-        assert not wirecodec.hello_accepts_binary(
-            self.hello(settings={wirecodec.WIRE_SETTING: ("bin1:deadbeef",)}),
-            PROTOCOL_VERSION)
+    def test_absent_or_foreign_format_names_both_formats(self):
+        with pytest.raises(ConfigurationError):
+            wirecodec.check_hello(self.hello(settings={}))
+        with pytest.raises(ConfigurationError) as excinfo:
+            wirecodec.check_hello(self.hello(
+                settings={wirecodec.WIRE_SETTING: ("bin1:deadbeef",)}))
+        assert "bin1:deadbeef" in str(excinfo.value)
+        assert wirecodec.WIRE_FORMAT in str(excinfo.value)
 
     def test_list_advertisement_accepted(self):
         """settings survive serialization as lists on some paths; the
         membership check must not insist on tuples."""
-        hello = self.hello(
-            settings={wirecodec.WIRE_SETTING: [wirecodec.WIRE_FORMAT]})
-        assert wirecodec.hello_accepts_binary(hello, PROTOCOL_VERSION)
+        wirecodec.check_hello(self.hello(
+            settings={wirecodec.WIRE_SETTING: [wirecodec.WIRE_FORMAT]}))
 
     def test_format_digest_tracks_the_schema(self):
         assert wirecodec.WIRE_FORMAT.startswith("bin1:")
@@ -390,8 +400,8 @@ def count_binary_encodes(monkeypatch):
     return encoded
 
 
-class TestMixedVersionClusters:
-    """New-codec and legacy builds in one cluster, over real sockets."""
+class TestOneWire:
+    """Current builds speak binary both ways; foreign formats are refused."""
 
     def test_matching_builds_use_binary_both_ways(self, nets, monkeypatch):
         a, b = nets(), nets()
@@ -405,56 +415,46 @@ class TestMixedVersionClusters:
         assert encoded.count(MessageKind.PING) == 2
         assert encoded.count(MessageKind.REPLY) == 2
 
-    def test_new_client_against_legacy_server_stays_pickled(
-            self, nets, monkeypatch):
-        modern = nets()
-        legacy = nets(wire_formats=())  # models a pre-codec build
-        modern.register("hub", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", legacy, "old")
-        encoded = count_binary_encodes(monkeypatch)
-        assert modern.call("hub", "old", MessageKind.PING, "x") == "x"
-        assert encoded == []  # degrade, never mis-frame
+    @pytest.mark.parametrize("wire", [None, (), ("bin1:000000000000",)],
+                             ids=["no-wire-key", "legacy", "drifted"])
+    def test_foreign_wire_format_server_is_refused(self, nets, wire):
+        """A legacy (pickled-envelope) or schema-drifted server is refused
+        at its HELLO, naming both formats; no request frame is sent."""
+        server = ForeignServer(hello("next", wire=wire))
+        try:
+            modern = nets()
+            modern.register("hub", lambda m: m.payload)
+            modern.connect("next", server.endpoint)
+            with pytest.raises(ConfigurationError) as excinfo:
+                modern.call("hub", "next", MessageKind.PING, 1)
+            assert wirecodec.WIRE_FORMAT in str(excinfo.value)
+            assert server.requests == []
+        finally:
+            server.close()
 
-    def test_legacy_client_against_new_server_stays_pickled(
-            self, nets, monkeypatch):
+    @pytest.mark.parametrize("wire", [None, ("bin1:000000000000",)],
+                             ids=["legacy", "drifted"])
+    def test_foreign_wire_format_client_is_closed(self, nets, wire):
+        ran = []
         modern = nets()
-        legacy = nets(wire_formats=())
-        modern.register("hub", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", legacy, "old")
-        encoded = count_binary_encodes(monkeypatch)
-        assert legacy.call("old", "hub", MessageKind.PING, "y") == "y"
-        assert encoded == []
-
-    def test_schema_drift_degrades_to_pickle(self, nets, monkeypatch):
-        """A build whose compiled schema differs (different digest) must
-        never receive binary frames it would mis-decode."""
-        modern = nets()
-        drifted = nets(wire_formats=("bin1:000000000000",))
-        modern.register("hub", lambda m: m.payload)
-        drifted.register("next", lambda m: m.payload)
-        link(modern, "hub", drifted, "next")
-        encoded = count_binary_encodes(monkeypatch)
-        assert modern.call("hub", "next", MessageKind.PING, 1) == 1
-        assert drifted.call("next", "hub", MessageKind.PING, 2) == 2
-        assert encoded == []
+        modern.register("hub", lambda m: ran.append(m.payload))
+        sock = dial(modern.endpoint_of("hub"))
+        with sock:
+            ping = Message(kind=MessageKind.PING, src="old", dst="hub",
+                           payload=1)
+            sock.sendall(hello_frame(hello("old", wire=wire))
+                         + envelope_frame(ping))
+            assert closed_by_peer(sock)
+        assert ran == []
 
     @pytest.mark.parametrize("payload", list(all_samples()))
-    def test_every_payload_crosses_a_mixed_cluster_both_ways(
-            self, nets, payload):
-        """The full payload matrix over real sockets: modern -> legacy
-        rides the pickled envelope, modern -> modern rides binary; both
-        must deliver equivalent values."""
-        modern, peer, legacy = nets(), nets(), nets(wire_formats=())
-        modern.register("hub", lambda m: m.payload)
-        peer.register("worker", lambda m: m.payload)
-        legacy.register("old", lambda m: m.payload)
-        link(modern, "hub", peer, "worker")
-        link(modern, "hub", legacy, "old")
-        echoed = modern.call("hub", "worker", MessageKind.INVOKE, payload)
+    def test_every_payload_crosses_both_ways(self, nets, payload):
+        """The full payload matrix over real sockets, binary both ways."""
+        a, b = nets(), nets()
+        a.register("hub", lambda m: m.payload)
+        b.register("worker", lambda m: m.payload)
+        link(a, "hub", b, "worker")
+        echoed = a.call("hub", "worker", MessageKind.INVOKE, payload)
         assert_equivalent(echoed, payload)
-        echoed = modern.call("hub", "old", MessageKind.INVOKE, payload)
-        assert_equivalent(echoed, payload)
-        echoed = legacy.call("old", "hub", MessageKind.INVOKE, payload)
+        echoed = b.call("worker", "hub", MessageKind.INVOKE, payload)
         assert_equivalent(echoed, payload)
